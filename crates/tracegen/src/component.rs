@@ -68,17 +68,24 @@ impl Mixture {
         self.parts.iter().map(|(w, _)| w).sum()
     }
 
+    /// Selection thresholds: entry `i` is the normalised weight of parts
+    /// `0..=i`, summed in part order. [`Mixture::select`] samples over
+    /// this table; the generator builds it once per phase.
+    pub(crate) fn cumulative_weights(&self) -> Vec<f64> {
+        let total = self.total_weight();
+        let mut acc = 0.0;
+        self.parts
+            .iter()
+            .map(|(w, _)| {
+                acc += w / total;
+                acc
+            })
+            .collect()
+    }
+
     /// Index of the component a uniform draw `u in [0,1)` selects.
     pub fn select(&self, u: f64) -> usize {
-        let mut acc = 0.0;
-        let total = self.total_weight();
-        for (i, (w, _)) in self.parts.iter().enumerate() {
-            acc += w / total;
-            if u < acc {
-                return i;
-            }
-        }
-        self.parts.len() - 1
+        select_part(&self.cumulative_weights(), u)
     }
 
     /// The expected fraction of accesses that are compulsory (Fresh).
@@ -104,6 +111,16 @@ impl Mixture {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Index of the part a uniform draw `u` selects, given a mixture's
+/// [`Mixture::cumulative_weights`]: the first part whose threshold exceeds
+/// `u`, else the last (rounding can leave the final threshold below 1).
+pub(crate) fn select_part(cumulative: &[f64], u: f64) -> usize {
+    cumulative
+        .iter()
+        .position(|&c| u < c)
+        .unwrap_or(cumulative.len() - 1)
 }
 
 #[cfg(test)]

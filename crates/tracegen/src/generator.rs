@@ -1,7 +1,7 @@
 //! The seeded trace generator.
 
 use crate::benchmark::BenchmarkProfile;
-use crate::component::Component;
+use crate::component::{select_part, Component, Mixture};
 use crate::record::MemRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,6 +17,9 @@ const COMPONENT_SLOT_LINES: u64 = 1 << 28;
 
 /// Base line number of the streaming (Fresh) frontier.
 const FRESH_BASE_LINE: u64 = 1 << 40;
+
+/// Lines per tier of a [`TieredStack`].
+const TIER: usize = 256;
 
 /// Deterministic, seeded generator of one benchmark's memory-access trace.
 ///
@@ -36,17 +39,50 @@ pub struct TraceGenerator {
     /// the current phase.
     seq_cursors: Vec<u64>,
     /// Per-component LRU stacks for `StackGeom` components, lazily built.
-    stacks: Vec<Option<Vec<u32>>>,
+    stacks: Vec<Option<TieredStack>>,
     /// Streaming frontier (next fresh line).
     fresh_next: u64,
     /// Precomputed geometric-gap parameter `ln(1 - p)`.
     ln_one_minus_p: f64,
+    /// Sampling constants of each phase, indexed like the profile's phases.
+    tables: Vec<PhaseTable>,
+}
+
+/// The per-record constants of one phase, built once from its mixture.
+#[derive(Debug, Clone)]
+struct PhaseTable {
+    /// [`Mixture::cumulative_weights`].
+    cumulative: Vec<f64>,
+    /// `ln(1 - 1/mean)` of each `StackGeom` part: the log of its reuse
+    /// depth's continuation probability (unused for other parts).
+    ln_q: Vec<f64>,
+}
+
+impl PhaseTable {
+    fn new(mixture: &Mixture) -> Self {
+        PhaseTable {
+            cumulative: mixture.cumulative_weights(),
+            ln_q: mixture
+                .parts
+                .iter()
+                .map(|(_, c)| match c {
+                    Component::StackGeom { mean, .. } => (1.0 - 1.0 / mean.max(1.0)).ln(),
+                    _ => 0.0,
+                })
+                .collect(),
+        }
+    }
 }
 
 impl TraceGenerator {
     /// Build a generator for `profile` with a fixed `seed`.
     pub fn new(profile: BenchmarkProfile, seed: u64) -> Self {
         assert!(!profile.phases.is_empty());
+        assert!(
+            (0.0..=1.0).contains(&profile.write_frac),
+            "write_frac={} out of [0,1]",
+            profile.write_frac
+        );
         let p = profile.mem_ratio;
         let first_len = profile.phases[0].insts;
         let n_parts = profile
@@ -64,6 +100,11 @@ impl TraceGenerator {
             stacks: vec![None; n_parts],
             fresh_next: FRESH_BASE_LINE,
             ln_one_minus_p: (1.0 - p).ln(),
+            tables: profile
+                .phases
+                .iter()
+                .map(|ph| PhaseTable::new(&ph.mixture))
+                .collect(),
             profile,
         }
     }
@@ -108,10 +149,10 @@ impl TraceGenerator {
         let gap = self.sample_gap();
         self.advance_phase(u64::from(gap) + 1);
 
-        let mixture = &self.profile.phases[self.phase].mixture;
+        let table = &self.tables[self.phase];
         let u: f64 = self.rng.gen_range(0.0..1.0);
-        let part = mixture.select(u);
-        let component = mixture.parts[part].1;
+        let part = select_part(&table.cumulative, u);
+        let component = self.profile.phases[self.phase].mixture.parts[part].1;
 
         let line = match component {
             Component::Sequential { lines } => {
@@ -124,23 +165,18 @@ impl TraceGenerator {
                 let off = self.rng.gen_range(0..lines);
                 (part as u64 + 1) * COMPONENT_SLOT_LINES + off
             }
-            Component::StackGeom { lines, mean } => {
+            Component::StackGeom { lines, .. } => {
                 let entry = &mut self.stacks[part];
                 let stack = match entry {
                     // Rebuild if a phase switch changed the region size.
                     Some(s) if s.len() == lines as usize => s,
-                    _ => entry.insert((0..lines as u32).collect()),
+                    _ => entry.insert(TieredStack::new(lines as usize)),
                 };
-                // Geometric reuse depth with the given mean, capped at the
-                // stack size.
+                // Geometric reuse depth with the part's mean, capped at
+                // the stack size.
                 let u: f64 = self.rng.gen_range(0.0..1.0);
-                let p = 1.0 / mean.max(1.0);
-                let d = ((1.0 - u).ln() / (1.0 - p).ln()) as usize;
-                let d = d.min(stack.len() - 1);
-                let line = stack[d];
-                // Move-to-front: the touched line becomes depth 0.
-                stack.copy_within(0..d, 1);
-                stack[0] = line;
+                let d = ((1.0 - u).ln() / table.ln_q[part]) as usize;
+                let line = stack.touch(d.min(stack.len() - 1));
                 (part as u64 + 1) * COMPONENT_SLOT_LINES + u64::from(line)
             }
             Component::Fresh => {
@@ -149,7 +185,8 @@ impl TraceGenerator {
                 l
             }
         };
-        let is_write = self.rng.gen_bool(self.profile.write_frac);
+        // `gen_bool` without its per-call range check (done in `new`).
+        let is_write = self.rng.gen_range(0.0..1.0) < self.profile.write_frac;
         MemRecord {
             gap,
             addr: line * LINE_BYTES,
@@ -166,10 +203,97 @@ impl Iterator for TraceGenerator {
     }
 }
 
+/// A true LRU stack over a region's lines, most recent first, stored as a
+/// tiered vector (Goodrich & Kloss, "Tiered Vectors", WADS 1999): depths
+/// `t * TIER..(t + 1) * TIER` form tier `t`, a ring buffer with its own
+/// head. Depth `d` is found by arithmetic, and moving it to the front
+/// shifts lines within one tier, then steps one line across each tier
+/// above it: O(TIER + d / TIER) instead of a flat `Vec`'s O(d).
+#[derive(Debug, Clone)]
+struct TieredStack {
+    /// Tier `t` is `lines[t * TIER..]`, [`TIER`] slots long (the last
+    /// tier may be shorter).
+    lines: Vec<u32>,
+    /// Slot of each tier's shallowest line, relative to the tier's start.
+    heads: Vec<usize>,
+}
+
+impl TieredStack {
+    /// Lines `0..n` in identity order (line `i` at depth `i`).
+    fn new(n: usize) -> Self {
+        TieredStack {
+            lines: (0..n as u32).collect(),
+            heads: vec![0; n.div_ceil(TIER)],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// The line at depth `d`, moved to depth 0.
+    fn touch(&mut self, d: usize) -> u32 {
+        let (t, i) = (d / TIER, d % TIER);
+        let (above, rest) = self.lines.split_at_mut(t * TIER);
+        let len = rest.len().min(TIER);
+        let tier = &mut rest[..len];
+        let head = self.heads[t];
+        let line = tier[wrap(head + i, len)];
+        // Each tier above steps its head back one: its deepest slot
+        // becomes its top, taking the line handed down from the tier
+        // above, and its deepest line is handed on down.
+        let mut carry = line;
+        for (ring, h) in above.chunks_exact_mut(TIER).zip(&mut self.heads[..t]) {
+            *h = (*h + TIER - 1) % TIER;
+            carry = std::mem::replace(&mut ring[*h], carry);
+        }
+        // Close the gap at offset `i`: the `i` shallower lines of tier `t`
+        // move one deeper, and its top slot takes the carried line.
+        shift_deeper(tier, head, i);
+        tier[head] = carry;
+        line
+    }
+
+    /// Lines in depth order.
+    #[cfg(test)]
+    fn order(&self) -> Vec<u32> {
+        self.lines
+            .chunks(TIER)
+            .zip(&self.heads)
+            .flat_map(|(ring, &h)| ring[h..].iter().chain(&ring[..h]))
+            .copied()
+            .collect()
+    }
+}
+
+/// `x` reduced into a ring of `len` slots, for `x < 2 * len`.
+fn wrap(x: usize, len: usize) -> usize {
+    if x >= len {
+        x - len
+    } else {
+        x
+    }
+}
+
+/// Move the `count` lines of `ring` from slot `from` on (wrapping) one
+/// slot on, overwriting the slot after them. At most two `copy_within`s.
+fn shift_deeper(ring: &mut [u32], from: usize, count: usize) {
+    let len = ring.len();
+    let end = from + count;
+    if end < len {
+        ring.copy_within(from..end, from + 1);
+    } else {
+        ring.copy_within(0..end - len, 1);
+        ring[0] = ring[len - 1];
+        ring.copy_within(from..len - 1, from + 1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::benchmark::benchmark;
+    use proptest::prelude::*;
 
     fn gen(name: &str, seed: u64) -> TraceGenerator {
         TraceGenerator::new(benchmark(name).unwrap(), seed)
@@ -313,5 +437,82 @@ mod tests {
             total += g.next_record().instructions();
         }
         assert_eq!(g.instructions(), total);
+    }
+
+    /// The flat `Vec` move-to-front the tiered stack replaced: the
+    /// reference it must agree with after every touch.
+    struct VecStack(Vec<u32>);
+
+    impl VecStack {
+        fn touch(&mut self, d: usize) -> u32 {
+            let line = self.0[d];
+            self.0.copy_within(0..d, 1);
+            self.0[0] = line;
+            line
+        }
+    }
+
+    /// A depth to touch, resolved against the stack size.
+    #[derive(Debug, Clone, Copy)]
+    enum Depth {
+        Top,
+        Bottom,
+        /// The deepest slot of some tier.
+        TierLast(usize),
+        /// The shallowest slot of some tier.
+        TierFirst(usize),
+        /// A `StackGeom` draw: uniform `u`, mean depth.
+        Geometric(f64, f64),
+    }
+
+    impl Depth {
+        fn resolve(self, n: usize) -> usize {
+            let tiers = n / TIER + 1;
+            let d = match self {
+                Depth::Top => 0,
+                Depth::Bottom => n - 1,
+                Depth::TierLast(k) => (k % tiers + 1) * TIER - 1,
+                Depth::TierFirst(k) => k % tiers * TIER,
+                Depth::Geometric(u, mean) => ((1.0 - u).ln() / (1.0 - 1.0 / mean).ln()) as usize,
+            };
+            d.min(n - 1)
+        }
+    }
+
+    fn depth() -> impl Strategy<Value = Depth> {
+        let means = prop::sample::select(vec![2.0, 64.0, 900.0, 4500.0]);
+        (0usize..5, 0usize..100, 0u64..1 << 53, means).prop_map(
+            |(kind, k, bits, mean)| match kind {
+                0 => Depth::Top,
+                1 => Depth::Bottom,
+                2 => Depth::TierLast(k),
+                3 => Depth::TierFirst(k),
+                _ => Depth::Geometric(bits as f64 / (1u64 << 53) as f64, mean),
+            },
+        )
+    }
+
+    /// Tier-boundary sizes, or (for 0) a random size up to 25,000 lines.
+    fn stack_size() -> impl Strategy<Value = usize> {
+        let edges = prop::sample::select(vec![1, TIER - 1, TIER, TIER + 1, 3 * TIER + 7, 0]);
+        (edges, 1usize..=25_000).prop_map(|(n, random)| if n == 0 { random } else { n })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn tiered_stack_matches_flat_move_to_front(
+            n in stack_size(),
+            depths in prop::collection::vec(depth(), 1..300),
+        ) {
+            let mut tiered = TieredStack::new(n);
+            let mut flat = VecStack((0..n as u32).collect());
+            for (step, spec) in depths.into_iter().enumerate() {
+                let d = spec.resolve(n);
+                prop_assert_eq!(tiered.touch(d), flat.touch(d), "line at depth {} (step {})", d, step);
+                prop_assert!(tiered.order() == flat.0, "order diverged at depth {} (step {})", d, step);
+            }
+        }
     }
 }

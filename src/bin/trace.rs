@@ -31,9 +31,12 @@ fn usage() -> ! {
          \u{20}            [--records N] [--compress]\n\
          \u{20}   capture a workload to FILE. Default: run a full simulation\n\
          \u{20}   (scheme S, default L) and record exactly the streams it\n\
-         \u{20}   consumes, plus headroom. With --records N, skip the\n\
-         \u{20}   simulation and record N generator records per thread;\n\
-         \u{20}   such traces replay cyclically at any --insts. With\n\
+         \u{20}   consumes, plus padding. Replays under S are exact at any\n\
+         \u{20}   --insts up to the capture's; other schemes may run out at\n\
+         \u{20}   that target and need a lower --insts (or a larger\n\
+         \u{20}   capture). With --records N, skip the simulation and\n\
+         \u{20}   record N generator records per thread; such traces\n\
+         \u{20}   replay cyclically at any --insts. With\n\
          \u{20}   --compress, write a block-compressed v2 container\n\
          \u{20}   (replays identically; v1 stays the default format).\n\
          \n\

@@ -275,10 +275,13 @@ impl SimEngine {
     /// live run).
     ///
     /// The recorded streams are exactly what this engine's configuration
-    /// consumed, then padded by half as much again, so the file replays
-    /// bit-identically at any instruction target up to this engine's
-    /// ([`TraceMeta::insts`] records it) and has headroom for replaying
-    /// under other schemes, whose per-thread consumption differs a little.
+    /// consumed, then padded by half as much again plus 1024 records per
+    /// thread. The guarantee is for this engine's scheme: the file replays
+    /// bit-identically under it at any instruction target up to this
+    /// engine's ([`TraceMeta::insts`] records it). Other schemes consume
+    /// differently per thread and can run past the padding at that
+    /// target (4T_01 at 300k did on most seeds, up to 16% short); replay
+    /// them at a lower target, or record at a larger one.
     pub fn record_trace(
         &self,
         workload: &Workload,
@@ -340,8 +343,8 @@ impl SimEngine {
             .expect("capture writer poisoned");
 
         // Padding: regenerate each thread's stream past the consumed
-        // point so replays under other schemes (slightly different
-        // per-thread consumption) don't run dry.
+        // point. It is slack for replays under other schemes, whose
+        // per-thread consumption differs, not a guarantee that they fit.
         let consumed = writer.counts().to_vec();
         for (i, p) in profiles.iter().enumerate() {
             let mut g =
