@@ -2,7 +2,7 @@
 //!
 //! Every figure is a cartesian sweep, so every driver here is now a
 //! declarative [`ScenarioSpec`] — `fig6_spec` / `fig7_spec` / `fig8_spec`
-//! build the spec, the root crate's work-stealing [`SweepRunner`]
+//! build the spec, the root crate's multi-threaded [`SweepRunner`]
 //! executes it, and the driver only aggregates the [`SweepReport`] into
 //! the figure's rows. The quick variants of the fig6/fig8 specs ship as
 //! `scenarios/fig6_quick.json` / `scenarios/fig8_quick.json`, pinned to

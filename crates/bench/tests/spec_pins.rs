@@ -16,7 +16,7 @@ use plru_repro::scenario::ScenarioSpec;
 /// seed (`Options::parse(["--quick"])`, which also caps the instruction
 /// budget at 300k).
 fn quick_options() -> Options {
-    Options::parse(["--quick".to_string()])
+    Options::parse(["--quick".to_string()]).unwrap()
 }
 
 fn pin(file: &str, built: &ScenarioSpec) {

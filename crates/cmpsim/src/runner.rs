@@ -2,21 +2,23 @@
 //! cache of isolation IPCs.
 //!
 //! Every figure needs dozens-to-hundreds of independent simulations; the
-//! runner fans them out across hardware threads with crossbeam scoped
-//! threads (no `'static` bound on the work items) and memoises the
-//! expensive isolation runs every relative metric divides by.
+//! runner fans them out across hardware threads with `std::thread::scope`
+//! (no `'static` bound on the work items) and memoises the expensive
+//! isolation runs every relative metric divides by.
 
 use crate::config::MachineConfig;
 use crate::system::System;
 use cachesim::PolicyKind;
-use parking_lot::Mutex;
+use plru_core::Scheme;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Parallel map over `items`, preserving order. Work is distributed by an
 /// atomic cursor so uneven item costs (8-thread runs take 4x the work of
-/// 2-thread runs) still balance.
+/// 2-thread runs) still balance. A panic in `f` panics the caller once
+/// every worker has been joined.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -30,23 +32,26 @@ where
     let cursor = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= items.len() {
                     break;
                 }
                 let r = f(&items[i]);
-                *results[i].lock() = Some(r);
+                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
         }
-    })
-    .expect("worker panicked");
+    });
 
     results
         .into_iter()
-        .map(|m| m.into_inner().expect("every item processed"))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every item processed")
+        })
         .collect()
 }
 
@@ -125,6 +130,13 @@ impl IsolationCache {
         Self::default()
     }
 
+    /// The memo map. A panicking holder cannot leave it half-updated (each
+    /// critical section is one `get`, `insert` or `len`), so a poisoned
+    /// lock is recovered rather than propagated.
+    fn memo(&self) -> MutexGuard<'_, HashMap<IsoKey, f64>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// IPC of `benchmark` running alone on a single-core machine derived
     /// from `cfg` (same caches, same latencies, full L2, no partitioning).
     ///
@@ -146,16 +158,17 @@ impl IsolationCache {
             seed_salt,
             solo_cfg: solo,
         };
-        if let Some(&ipc) = self.map.lock().get(&key) {
+        if let Some(&ipc) = self.memo().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return ipc;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let profile = tracegen::benchmark(benchmark)
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
-        let mut sys = System::from_profiles(&key.solo_cfg, &[profile], policy, None, seed_salt);
+        let scheme = Scheme::bare(policy);
+        let mut sys = System::from_profiles_scheme(&key.solo_cfg, &[profile], &scheme, seed_salt);
         let ipc = sys.run().ipc(0);
-        self.map.lock().insert(key, ipc);
+        self.memo().insert(key, ipc);
         ipc
     }
 
@@ -175,7 +188,7 @@ impl IsolationCache {
 
     /// Number of memoised entries.
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.memo().len()
     }
 
     /// Snapshot of the memo's hit/miss counters (see [`MemoStats`]).
@@ -217,6 +230,16 @@ mod tests {
         let items: Vec<u64> = vec![];
         let out: Vec<u64> = parallel_map(&items, |&x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn parallel_map_propagates_a_worker_panic() {
+        let items: Vec<u64> = (0..16).collect();
+        parallel_map(&items, |&x| {
+            assert_ne!(x, 7, "item {x} failed");
+            x
+        });
     }
 
     #[test]

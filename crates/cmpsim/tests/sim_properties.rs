@@ -2,6 +2,7 @@
 
 use cachesim::PolicyKind;
 use cmpsim::{MachineConfig, System};
+use plru_core::Scheme;
 use proptest::prelude::*;
 
 fn bench_name() -> impl Strategy<Value = &'static str> {
@@ -20,7 +21,7 @@ proptest! {
         cfg.seed = seed;
         let profile = tracegen::benchmark(name).unwrap();
         let base_cpi = profile.base_cpi;
-        let mut sys = System::from_profiles(&cfg, &[profile], PolicyKind::Lru, None, seed);
+        let mut sys = System::from_profiles_scheme(&cfg, &[profile], &Scheme::bare(PolicyKind::Lru), seed);
         let r = sys.run();
         let cycles = r.cores[0].cycles as f64;
         let insts = cfg.insts_target as f64;
@@ -39,7 +40,7 @@ proptest! {
         cfg.insts_target = 15_000;
         cfg.seed = seed;
         let profile = tracegen::benchmark(name).unwrap();
-        let mut sys = System::from_profiles(&cfg, &[profile], PolicyKind::Nru, None, seed);
+        let mut sys = System::from_profiles_scheme(&cfg, &[profile], &Scheme::bare(PolicyKind::Nru), seed);
         let r = sys.run();
         let c = &r.cores[0];
         prop_assert!(c.l2_misses <= c.l2_accesses);
@@ -54,8 +55,8 @@ proptest! {
         let run = |insts: u64| {
             let mut cfg = MachineConfig::paper_baseline(1);
             cfg.insts_target = insts;
-            let mut sys =
-                System::from_profiles(&cfg, std::slice::from_ref(&profile), PolicyKind::Lru, None, 3);
+            let lru = Scheme::bare(PolicyKind::Lru);
+            let mut sys = System::from_profiles_scheme(&cfg, std::slice::from_ref(&profile), &lru, 3);
             sys.run().cores[0].cycles
         };
         prop_assert!(run(24_000) >= run(12_000));
@@ -69,12 +70,13 @@ proptest! {
         cfg1.insts_target = 30_000;
         let v = tracegen::benchmark(victim).unwrap();
         let a = tracegen::benchmark(aggressor).unwrap();
-        let solo = System::from_profiles(&cfg1, std::slice::from_ref(&v), PolicyKind::Lru, None, 5)
+        let lru = Scheme::bare(PolicyKind::Lru);
+        let solo = System::from_profiles_scheme(&cfg1, std::slice::from_ref(&v), &lru, 5)
             .run()
             .ipc(0);
         let mut cfg2 = MachineConfig::paper_baseline(2);
         cfg2.insts_target = 30_000;
-        let shared = System::from_profiles(&cfg2, &[v, a], PolicyKind::Lru, None, 5)
+        let shared = System::from_profiles_scheme(&cfg2, &[v, a], &lru, 5)
             .run()
             .ipc(0);
         prop_assert!(

@@ -128,6 +128,17 @@ fn validate_config(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
             }
         }
     }
+    for ext in &cfg.external_crates {
+        let used = ws
+            .crates
+            .iter()
+            .any(|c| c.deps.contains(ext) || c.dev_deps.contains(ext));
+        if !used {
+            out.push(finding(format!(
+                "[external] crate `{ext}` is not a dependency of any workspace crate"
+            )));
+        }
+    }
     for m in &cfg.module_order {
         let exists = ws
             .files

@@ -15,7 +15,7 @@ fn base_ws() -> Workspace {
             CrateInfo {
                 name: "rootpkg".into(),
                 dir: String::new(),
-                deps: vec!["lowcrate".into()],
+                deps: vec!["lowcrate".into(), "serde".into()],
                 dev_deps: vec![],
             },
             CrateInfo {
@@ -349,10 +349,20 @@ fn config_rule_fires_on_nonexistent_targets() {
     let mut cfg = base_cfg();
     cfg.layers.insert("ghostcrate".into(), vec![]);
     cfg.hardened.push("src/ghost.rs".into());
+    // An external crate no manifest depends on is stale config too.
+    cfg.external_crates.push("unusedstub".into());
     let report = repolint::run(&ws, &cfg, Options::default());
     let hits = rules_fired(&report, "config");
-    assert_eq!(hits.len(), 2, "{:?}", report.findings);
+    assert_eq!(hits.len(), 3, "{:?}", report.findings);
     assert!(hits.iter().all(|(f, _)| f == "repolint.toml"));
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == "config" && f.message.contains("`unusedstub`")),
+        "{:?}",
+        report.findings
+    );
 }
 
 #[test]

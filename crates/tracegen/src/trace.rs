@@ -1254,7 +1254,7 @@ impl TraceSource for RecordedThread {
 }
 
 /// Open one [`RecordedThread`] per recorded thread, plus the shared
-/// header — the bundle [`System::from_trace`](../../cmpsim/struct.System.html)
+/// header — the bundle [`System::from_trace_scheme`](../../cmpsim/struct.System.html)
 /// plugs into the simulator. Decodes sequentially; see
 /// [`open_sources_with`] for the pipelined path.
 pub fn open_sources(

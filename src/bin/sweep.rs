@@ -1,5 +1,5 @@
 //! Run a declarative scenario spec: expand its axes, execute every case
-//! over the work-stealing pool, and print the aligned result table.
+//! on the shared-queue worker pool, and print the aligned result table.
 //!
 //! ```sh
 //! cargo run --release --bin sweep -- scenarios/smoke_2t.json

@@ -379,7 +379,7 @@ impl SimEngine {
                 info.meta.insts, self.cfg.insts_target
             )));
         }
-        System::from_trace_scheme_with(
+        System::from_trace_scheme(
             &self.cfg,
             path,
             &self.scheme,

@@ -19,7 +19,7 @@
 //! and integration test constructs its simulations through
 //! [`engine::SimEngine`] rather than wiring the member crates by hand —
 //! and the [`scenario`] subsystem on top of it: declarative JSON sweep
-//! specs (`scenarios/*.json`), a work-stealing [`scenario::SweepRunner`],
+//! specs (`scenarios/*.json`), a multi-threaded [`scenario::SweepRunner`],
 //! and golden-snapshot-tested [`scenario::SweepReport`]s, driven by the
 //! `sweep` bin.
 //!

@@ -14,7 +14,7 @@
 //! * [`expand`] — deterministic expansion of a spec into an ordered list
 //!   of [`ScenarioCase`]s (dedup per axis, case count = product of axis
 //!   lengths, stable index order);
-//! * [`pool`] — [`WorkerPool`], the persistent work-stealing fleet that
+//! * [`pool`] — [`WorkerPool`], the persistent shared-queue fleet that
 //!   actually runs cases behind a shared
 //!   [`IsolationCache`](crate::engine::IsolationCache) (kept resident —
 //!   and its memo warm — across jobs by the sweep service);

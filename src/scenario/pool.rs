@@ -7,7 +7,7 @@
 //! concerns are split:
 //!
 //! * [`WorkerPool`] (this module) owns long-lived worker threads pulling
-//!   [`CaseTask`]s from one shared injector queue. It knows nothing
+//!   [`CaseTask`]s from one shared FIFO queue. It knows nothing
 //!   about jobs, journals or report order; it runs cases and posts
 //!   [`CaseOutcome`]s to whatever channel the task names.
 //! * Orchestration — which cases form a job, spec-order reassembly,
@@ -15,12 +15,12 @@
 //!   local [`SweepRunner`](crate::scenario::SweepRunner) for one-shot
 //!   sweeps, the [`service`](crate::service) job manager for the daemon.
 //!
-//! Load balancing works like the old per-worker deques did, just
-//! inverted: instead of pre-sharding cases round-robin and stealing from
-//! siblings, every worker steals from the single injector, so wildly
-//! uneven case costs (an 8-thread CPA run next to a 1-core baseline)
-//! balance the same way and tasks from concurrent jobs interleave fairly
-//! in submission order.
+//! Load balancing comes from the shared queue: every idle worker takes
+//! the oldest queued case, so wildly uneven case costs (an 8-thread CPA
+//! run next to a 1-core baseline) balance, and tasks from concurrent jobs
+//! interleave fairly in submission order. The queue and the stop flag
+//! share one mutex and one condvar, so no submit or stop wakeup can be
+//! lost between a worker's check and its wait.
 //!
 //! Workers can optionally be pinned to cores (best-effort Linux
 //! `sched_setaffinity`; silently a no-op where unsupported) — useful for
@@ -30,13 +30,12 @@ use crate::engine::IsolationCache;
 use crate::scenario::expand::ScenarioCase;
 use crate::scenario::report::CaseReport;
 use cmpsim::WorkloadMetrics;
-use crossbeam::deque::{Injector, Steal};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// One unit of pool work: a case plus the channel its outcome goes to
 /// and the cancellation flag of the job it belongs to.
@@ -61,7 +60,8 @@ pub enum CaseOutcome {
         /// Its full report.
         report: Box<CaseReport>,
     },
-    /// The task's cancellation flag was set before the case started.
+    /// The case never started: its task's cancellation flag was set, or
+    /// the pool stopped first.
     Skipped {
         /// `ScenarioCase::index` of the skipped case.
         index: usize,
@@ -87,19 +87,33 @@ impl CaseOutcome {
     }
 }
 
+struct PoolState {
+    queue: VecDeque<CaseTask>,
+    /// `true` once shutdown begins: workers take no further task and
+    /// `submit` acknowledges instead of queueing.
+    stop: bool,
+}
+
 struct PoolShared {
-    queue: Injector<CaseTask>,
-    /// `true` once shutdown begins; guarded by `idle` so sleeping
-    /// workers observe it under the condvar.
-    stop: Mutex<bool>,
+    state: Mutex<PoolState>,
     idle: Condvar,
     isolation: Arc<IsolationCache>,
+}
+
+impl PoolShared {
+    /// Every critical section is one push, pop, take or store, so a
+    /// poisoned lock still guards a valid state; it is recovered rather
+    /// than propagated because `stop` runs from `Drop`.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A persistent fleet of case-running worker threads sharing one
 /// [`IsolationCache`] memo. Dropping the pool (or calling
 /// [`WorkerPool::shutdown`]) stops the workers after their in-flight
-/// cases; queued tasks are drained and acknowledged as skipped.
+/// cases; queued tasks, and any submitted after the stop, are
+/// acknowledged as skipped.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     // Behind a lock so `stop` can join through a shared reference (the
@@ -124,8 +138,10 @@ impl WorkerPool {
     pub fn new(workers: usize, isolation: Arc<IsolationCache>, pin_cores: bool) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            queue: Injector::new(),
-            stop: Mutex::new(false),
+            state: Mutex::new(PoolState {
+                queue: VecDeque::new(),
+                stop: false,
+            }),
             idle: Condvar::new(),
             isolation,
         });
@@ -164,12 +180,17 @@ impl WorkerPool {
     }
 
     /// Enqueue one case. Exactly one [`CaseOutcome`] will be posted to
-    /// `task.sink` for it, even through cancellation or a case panic.
+    /// `task.sink` for it, even through cancellation or a case panic; a
+    /// stopped pool acknowledges it as skipped before returning.
     pub fn submit(&self, task: CaseTask) {
-        self.shared.queue.push(task);
-        // Take the lock so the notify cannot race a worker between its
-        // empty-queue check and its wait.
-        let _g = self.shared.stop.lock().unwrap();
+        let mut state = self.shared.state();
+        if state.stop {
+            drop(state);
+            skip(task);
+            return;
+        }
+        state.queue.push_back(task);
+        drop(state);
         self.shared.idle.notify_one();
     }
 
@@ -193,7 +214,7 @@ impl WorkerPool {
             match rx.recv().expect("pool outlives the sweep") {
                 CaseOutcome::Completed { index, report } => slots[index] = Some(*report),
                 CaseOutcome::Skipped { index } => {
-                    unreachable!("case {index} skipped without a cancellation")
+                    panic!("sweep case {index} skipped: the pool was stopped")
                 }
                 CaseOutcome::Failed { index, message } => {
                     panic!("sweep case {index} panicked: {message}")
@@ -215,16 +236,17 @@ impl WorkerPool {
     /// [`shutdown`](WorkerPool::shutdown) through a shared reference —
     /// the sweep service owns its pool in an `Arc`. Idempotent.
     pub fn stop(&self) {
-        *self.shared.stop.lock().unwrap() = true;
+        let queued = {
+            let mut state = self.shared.state();
+            state.stop = true;
+            std::mem::take(&mut state.queue)
+        };
         self.shared.idle.notify_all();
+        // Acknowledge everything still queued so collectors counting to
+        // their submission total terminate instead of hanging.
+        queued.into_iter().for_each(skip);
         for h in self.handles.lock().unwrap().drain(..) {
             let _ = h.join();
-        }
-        // Acknowledge anything still queued so collectors counting to
-        // their submission total terminate instead of hanging.
-        while let Steal::Success(task) = self.shared.queue.steal() {
-            let index = task.case.index;
-            let _ = task.sink.send(CaseOutcome::Skipped { index });
         }
     }
 }
@@ -237,25 +259,31 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        match shared.queue.steal() {
-            Steal::Success(task) => run_task(task, shared),
-            Steal::Retry => continue,
-            Steal::Empty => {
-                let guard = shared.stop.lock().unwrap();
-                if *guard {
+        let task = {
+            let mut state = shared.state();
+            loop {
+                // Checked before the pop: once stopped, `stop` owns what
+                // is still queued.
+                if state.stop {
                     return;
                 }
-                if shared.queue.is_empty() {
-                    // Timed wait as a backstop against a lost wakeup; the
-                    // notify in `submit` is the fast path.
-                    let _ = shared
-                        .idle
-                        .wait_timeout(guard, Duration::from_millis(50))
-                        .unwrap();
+                if let Some(task) = state.queue.pop_front() {
+                    break task;
                 }
+                state = shared
+                    .idle
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
-        }
+        };
+        run_task(task, shared);
     }
+}
+
+/// Acknowledge a task without running it.
+fn skip(task: CaseTask) {
+    let index = task.case.index;
+    let _ = task.sink.send(CaseOutcome::Skipped { index });
 }
 
 fn run_task(task: CaseTask, shared: &PoolShared) {
@@ -350,6 +378,8 @@ pub(crate) fn pin_current_thread(_core: usize) -> bool {
 mod tests {
     use super::*;
     use crate::scenario::spec::{ScenarioSpec, WorkloadSel};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     fn tiny_cases() -> Vec<ScenarioCase> {
         ScenarioSpec {
@@ -438,6 +468,52 @@ mod tests {
         pool.shutdown();
         let outcomes: Vec<CaseOutcome> = rx.into_iter().collect();
         assert_eq!(outcomes.len(), cases.len(), "one ack per submitted task");
+    }
+
+    #[test]
+    fn stop_skips_queued_cases() {
+        // One worker, twenty queued cases, an immediate stop: at most the
+        // case already running completes; the rest are skipped, not run.
+        let pool = WorkerPool::new(1, Arc::default(), false);
+        let case = tiny_cases().remove(0);
+        let flag = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        for index in 0..20 {
+            let mut case = case.clone();
+            case.index = index;
+            pool.submit(CaseTask {
+                case,
+                cancelled: flag.clone(),
+                sink: tx.clone(),
+            });
+        }
+        drop(tx);
+        pool.stop();
+        let outcomes: Vec<CaseOutcome> = rx.into_iter().collect();
+        assert_eq!(outcomes.len(), 20, "one ack per submitted task");
+        let skipped = outcomes
+            .iter()
+            .filter(|o| matches!(o, CaseOutcome::Skipped { .. }))
+            .count();
+        assert!(skipped >= 10, "only {skipped} of 20 queued cases skipped");
+    }
+
+    #[test]
+    fn submit_after_stop_is_acknowledged() {
+        let pool = WorkerPool::new(1, Arc::default(), false);
+        pool.stop();
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.submit(CaseTask {
+            case: tiny_cases().remove(0),
+            cancelled: Arc::new(AtomicBool::new(false)),
+            sink: tx,
+        });
+        match rx.recv_timeout(Duration::from_secs(1)) {
+            Ok(CaseOutcome::Skipped { index: 0 }) => {}
+            Ok(other) => panic!("expected a skip, got {other:?}"),
+            Err(RecvTimeoutError::Timeout) => panic!("late submit never acknowledged"),
+            Err(e) => panic!("sink closed without an ack: {e}"),
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! One-shot sweep orchestration over the persistent worker pool.
 //!
 //! Sweeps replace the flat `parallel_map` fan-out: cases go onto the
-//! shared work-stealing queue of a [`WorkerPool`](super::pool), so
-//! wildly uneven case costs (an 8-thread CPA run next to a 1-core
-//! baseline) still balance. Results land in slots indexed by
-//! `ScenarioCase::index`, which makes the report order — and its bytes —
-//! independent of the worker count; the thread-count-invariance test
-//! pins exactly that.
+//! shared FIFO queue of a [`WorkerPool`](super::pool), which idle
+//! workers drain in order, so wildly uneven case costs (an 8-thread CPA
+//! run next to a 1-core baseline) still balance. Results land in slots
+//! indexed by `ScenarioCase::index`, which makes the report order — and
+//! its bytes — independent of the worker count; the
+//! thread-count-invariance test pins exactly that.
 //!
 //! `SweepRunner` is the *local* orchestration: spin up a pool, run one
 //! spec, tear the pool down. The resident `sweepd` daemon keeps one pool
