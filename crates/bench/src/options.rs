@@ -67,6 +67,9 @@ impl Options {
                 other => return Err(format!("unknown option {other} (try --help)")),
             }
         }
+        if o.insts == 0 {
+            return Err("--insts must be positive".into());
+        }
         if o.quick {
             o.insts = o.insts.min(QUICK_INSTS);
         }
@@ -151,6 +154,10 @@ mod tests {
         assert_eq!(
             parse(&["--insts", "x"]).unwrap_err(),
             "--insts needs a number"
+        );
+        assert_eq!(
+            parse(&["--quick", "--insts", "0"]).unwrap_err(),
+            "--insts must be positive"
         );
         assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a number");
         assert_eq!(parse(&["--json"]).unwrap_err(), "--json needs a path");

@@ -1,6 +1,7 @@
 //! The figure binaries honour the one-line error contract: a bad option
-//! or a failed `--json` write exits with status 1 and a single
-//! `<bin>: <message>` stderr line, never a panic backtrace.
+//! (including an instruction budget of 0) or a failed `--json` write
+//! exits with status 1 and a single `<bin>: <message>` stderr line, never
+//! a panic backtrace.
 
 use std::process::Command;
 
@@ -20,6 +21,7 @@ fn bad_options_exit_1_with_one_stderr_line() {
     for (args, message) in [
         (&["--frobnicate"][..], "fig6: unknown option --frobnicate"),
         (&["--insts", "x"][..], "fig6: --insts needs a number"),
+        (&["--insts", "0"][..], "fig6: --insts must be positive"),
     ] {
         let (code, stderr) = run_fig6(args);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");

@@ -6,7 +6,7 @@
 //! added by the system when an access leaves the L1s. Fractional cycles
 //! accumulate exactly, so long runs do not drift.
 
-use tracegen::{BenchmarkProfile, MemRecord, TraceGenerator, TraceSource};
+use tracegen::{BenchmarkProfile, MemRecord, TraceSource};
 
 /// Byte address base of per-core code regions (far above all data
 /// regions generated by `tracegen`).
@@ -15,7 +15,8 @@ const CODE_BASE_BYTES: u64 = 1 << 60;
 /// One simulated core running one thread.
 ///
 /// The memory-access stream comes from a [`TraceSource`] — a live
-/// [`TraceGenerator`] or a recorded-trace reader — while the timing model
+/// [`TraceGenerator`](tracegen::TraceGenerator), a stream-memo tape or a
+/// recorded-trace reader — while the timing model
 /// (base CPI, code footprint for instruction-fetch synthesis) always
 /// comes from the benchmark's profile.
 #[derive(Debug)]
@@ -43,21 +44,8 @@ pub struct CoreModel {
 }
 
 impl CoreModel {
-    /// Build a core running `profile`'s live generator with trace seed
-    /// `seed`.
-    pub fn new(
-        core_id: usize,
-        profile: BenchmarkProfile,
-        seed: u64,
-        insts_per_fetch_line: u64,
-    ) -> Self {
-        let source = Box::new(TraceGenerator::new(profile.clone(), seed));
-        Self::from_source(core_id, &profile, source, insts_per_fetch_line)
-    }
-
-    /// Build a core pulling records from an arbitrary [`TraceSource`]
-    /// (e.g. a recorded-trace reader); `profile` supplies only the timing
-    /// model.
+    /// Build a core pulling records from a [`TraceSource`]; `profile`
+    /// supplies only the timing model.
     pub fn from_source(
         core_id: usize,
         profile: &BenchmarkProfile,
@@ -124,13 +112,6 @@ impl CoreModel {
         }
     }
 
-    /// Allocating convenience wrapper around [`CoreModel::fetch_addrs_into`].
-    pub fn fetch_addrs(&mut self, insts: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.fetch_addrs_into(insts, &mut out);
-        out
-    }
-
     /// Has this core committed its target?
     pub fn finished(&self) -> bool {
         self.finish_cycle.is_some()
@@ -155,10 +136,24 @@ impl CoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracegen::benchmark;
+    use tracegen::{benchmark, TraceGenerator};
+
+    /// Core `core_id` running gzip's live generator at seed 42.
+    fn core_on(core_id: usize) -> CoreModel {
+        let gzip = benchmark("gzip").unwrap();
+        let source = Box::new(TraceGenerator::new(gzip.clone(), 42));
+        CoreModel::from_source(core_id, &gzip, source, 32)
+    }
 
     fn core() -> CoreModel {
-        CoreModel::new(1, benchmark("gzip").unwrap(), 42, 32)
+        core_on(1)
+    }
+
+    /// The fetch lines of `insts` instructions.
+    fn fetch(c: &mut CoreModel, insts: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        c.fetch_addrs_into(insts, &mut out);
+        out
     }
 
     #[test]
@@ -177,8 +172,8 @@ mod tests {
 
     #[test]
     fn different_cores_have_disjoint_spaces() {
-        let mut a = CoreModel::new(0, benchmark("gzip").unwrap(), 42, 32);
-        let mut b = CoreModel::new(1, benchmark("gzip").unwrap(), 42, 32);
+        let mut a = core_on(0);
+        let mut b = core_on(1);
         let ra = a.next_record();
         let rb = b.next_record();
         assert_ne!(ra.addr, rb.addr);
@@ -188,14 +183,14 @@ mod tests {
     #[test]
     fn fetch_lines_walk_the_code_footprint() {
         let mut c = core(); // gzip code_lines = 250
-        let addrs = c.fetch_addrs(64); // 64 insts / 32 per line = 2 lines
+        let addrs = fetch(&mut c, 64); // 64 insts / 32 per line = 2 lines
         assert_eq!(addrs.len(), 2);
         assert_eq!(addrs[1] - addrs[0], 128, "sequential lines");
         // After 250 lines the cursor wraps.
         let mut last = addrs[1];
         let mut wrapped = false;
         for _ in 0..300 {
-            for a in c.fetch_addrs(32) {
+            for a in fetch(&mut c, 32) {
                 if a < last {
                     wrapped = true;
                 }
@@ -208,9 +203,9 @@ mod tests {
     #[test]
     fn fetch_accumulates_partial_groups() {
         let mut c = core();
-        assert!(c.fetch_addrs(10).is_empty());
-        assert!(c.fetch_addrs(10).is_empty());
-        assert_eq!(c.fetch_addrs(12).len(), 1, "32 insts accumulated");
+        assert!(fetch(&mut c, 10).is_empty());
+        assert!(fetch(&mut c, 10).is_empty());
+        assert_eq!(fetch(&mut c, 12).len(), 1, "32 insts accumulated");
     }
 
     #[test]
@@ -235,10 +230,10 @@ mod tests {
     #[test]
     fn code_addresses_do_not_collide_with_data() {
         let mut c = core();
-        let fetch = c.fetch_addrs(32)[0];
+        let code_line = fetch(&mut c, 32)[0];
         for _ in 0..1000 {
             let r = c.next_record();
-            assert_ne!(r.addr, fetch);
+            assert_ne!(r.addr, code_line);
             assert!(r.addr < CODE_BASE_BYTES);
         }
     }

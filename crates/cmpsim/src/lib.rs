@@ -37,5 +37,5 @@ pub mod system;
 pub use config::{Latencies, MachineConfig};
 pub use core_model::CoreModel;
 pub use metrics::{harmonic_mean_of_relative_ipc, throughput, weighted_speedup, WorkloadMetrics};
-pub use runner::{parallel_map, IsolationCache, MemoStats};
+pub use runner::{parallel_map, IsolationCache, MemoStats, StreamCache, StreamKey, StreamStats};
 pub use system::{SimResult, System};

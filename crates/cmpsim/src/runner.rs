@@ -1,10 +1,12 @@
-//! Experiment-fleet helpers: a scoped-thread parallel map and a shared
-//! cache of isolation IPCs.
+//! Experiment-fleet helpers: a scoped-thread parallel map, a shared
+//! cache of isolation IPCs and, beside it, a memo of record streams.
 //!
 //! Every figure needs dozens-to-hundreds of independent simulations; the
 //! runner fans them out across hardware threads with `std::thread::scope`
-//! (no `'static` bound on the work items) and memoises the expensive
-//! isolation runs every relative metric divides by.
+//! (no `'static` bound on the work items), memoises the expensive
+//! isolation runs every relative metric divides by, and lets the cases
+//! of a sweep that read the same per-core stream share one generator
+//! ([`StreamCache`]).
 
 use crate::config::MachineConfig;
 use crate::system::System;
@@ -13,7 +15,8 @@ use plru_core::Scheme;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use tracegen::{BenchmarkProfile, Tape, TapeCounters, TraceGenerator, TraceSource};
 
 /// Parallel map over `items`, preserving order. Work is distributed by an
 /// atomic cursor so uneven item costs (8-thread runs take 4x the work of
@@ -117,17 +120,26 @@ pub struct MemoStats {
 /// let stats = memo.stats();
 /// assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
 /// ```
+///
+/// The cache also carries the [`StreamCache`] its solo runs and every
+/// engine sharing it read their records from.
 #[derive(Debug, Default)]
 pub struct IsolationCache {
     map: Mutex<HashMap<IsoKey, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    streams: StreamCache,
 }
 
 impl IsolationCache {
     /// Empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The stream memo shared with this cache.
+    pub fn streams(&self) -> &StreamCache {
+        &self.streams
     }
 
     /// The memo map. A panicking holder cannot leave it half-updated (each
@@ -166,7 +178,17 @@ impl IsolationCache {
         let profile = tracegen::benchmark(benchmark)
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
         let scheme = Scheme::bare(policy);
-        let mut sys = System::from_profiles_scheme(&key.solo_cfg, &[profile], &scheme, seed_salt);
+        let source = self.streams.source(
+            &profile,
+            StreamKey::isolation(&key.solo_cfg, benchmark, seed_salt).seed,
+        );
+        let mut sys = System::from_sources_scheme(
+            &key.solo_cfg,
+            &[profile],
+            vec![source],
+            &scheme,
+            seed_salt,
+        );
         let ipc = sys.run().ipc(0);
         self.memo().insert(key, ipc);
         ipc
@@ -209,6 +231,182 @@ impl IsolationCache {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Key of one record stream: the benchmark and the trace seed its
+/// generator runs at. A stream depends on nothing else — not the scheme,
+/// not the L2 — so every case of a sweep that runs the benchmark on that
+/// core, and every isolation run of it, reads the same stream.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StreamKey {
+    /// Benchmark name.
+    pub benchmark: String,
+    /// Trace seed ([`System::thread_seed`]).
+    pub seed: u64,
+}
+
+impl StreamKey {
+    /// The stream core `core` of `cfg` reads running `benchmark` under
+    /// `seed_salt`.
+    pub fn new(cfg: &MachineConfig, core: usize, benchmark: &str, seed_salt: u64) -> Self {
+        StreamKey {
+            benchmark: benchmark.to_string(),
+            seed: System::thread_seed(cfg, core, seed_salt),
+        }
+    }
+
+    /// The stream an isolation run of `benchmark` on `cfg` reads: core 0
+    /// of the solo machine, which is core 0's stream of `cfg` itself.
+    pub fn isolation(cfg: &MachineConfig, benchmark: &str, seed_salt: u64) -> Self {
+        Self::new(cfg, 0, benchmark, seed_salt)
+    }
+}
+
+/// Counters of a [`StreamCache`]. `pinned`, `live` and `resident_bytes`
+/// describe the memo now; the rest accumulate over its lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StreamStats {
+    /// Keys pinned by queued or running work.
+    pub pinned: u64,
+    /// Streams with a tape in memory.
+    pub live: u64,
+    /// Encoded bytes the live tapes hold (about 2.3 per record).
+    pub resident_bytes: u64,
+    /// The largest `resident_bytes` so far.
+    pub peak_bytes: u64,
+    /// Records the tapes' generators produced.
+    pub generated: u64,
+    /// Records replayed to simulations from the tapes.
+    pub served: u64,
+}
+
+/// The stream memo: one [`Tape`] per pinned [`StreamKey`], so the cases
+/// of a sweep that read the same stream synthesize it once.
+///
+/// A tape lives exactly while some queued or running work will read it.
+/// Work [`pin`](StreamCache::pin)s its keys before it is queued and
+/// [`release`](StreamCache::release)s them when it ends; the first
+/// [`source`](StreamCache::source) of a pinned key creates the tape,
+/// and the last release drops it. An unpinned key gets a plain
+/// [`TraceGenerator`], as if there were no memo. Either way the source
+/// yields the same records, so the memo changes no result.
+///
+/// ```
+/// use cmpsim::{MachineConfig, StreamCache, StreamKey};
+///
+/// let cfg = MachineConfig::paper_baseline(1);
+/// let memo = StreamCache::default();
+/// let key = StreamKey::new(&cfg, 0, "gzip", 0);
+/// let gzip = tracegen::benchmark("gzip").unwrap();
+/// memo.pin(std::slice::from_ref(&key));
+/// let mut a = memo.source(&gzip, key.seed);
+/// let mut b = memo.source(&gzip, key.seed);
+/// assert_eq!(a.next_record(), b.next_record());
+/// drop((a, b));
+/// assert_eq!(memo.stats().live, 1);
+/// memo.release(std::slice::from_ref(&key));
+/// assert_eq!(memo.stats().live, 0, "the last release drops the tape");
+/// ```
+#[derive(Debug, Default)]
+pub struct StreamCache {
+    map: Mutex<HashMap<StreamKey, Pinned>>,
+    counters: Arc<TapeCounters>,
+}
+
+/// A pinned key: its pin count and, once read, its tape.
+#[derive(Debug)]
+struct Pinned {
+    pins: usize,
+    tape: Option<Arc<Tape>>,
+}
+
+impl StreamCache {
+    /// The map. Every critical section is one lookup, insert or removal,
+    /// so a poisoned lock still guards a valid map and is recovered.
+    fn memo(&self) -> MutexGuard<'_, HashMap<StreamKey, Pinned>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Pin `keys` (a key may repeat; each occurrence counts).
+    pub fn pin(&self, keys: &[StreamKey]) {
+        let mut map = self.memo();
+        for key in keys {
+            map.entry(key.clone())
+                .or_insert(Pinned {
+                    pins: 0,
+                    tape: None,
+                })
+                .pins += 1;
+        }
+    }
+
+    /// Undo one [`pin`](StreamCache::pin) of `keys`; a key's last
+    /// release drops its tape.
+    pub fn release(&self, keys: &[StreamKey]) {
+        let mut map = self.memo();
+        let mut freed = Vec::new();
+        for key in keys {
+            if let Some(entry) = map.get_mut(key) {
+                entry.pins -= 1;
+                if entry.pins == 0 {
+                    freed.extend(map.remove(key));
+                }
+            }
+        }
+        drop(map);
+        // Tapes are freed outside the lock.
+        drop(freed);
+    }
+
+    /// A source of `profile`'s stream at trace seed `seed`: a reader of
+    /// the key's tape while the key is pinned, a fresh generator
+    /// otherwise.
+    pub fn source(&self, profile: &BenchmarkProfile, seed: u64) -> Box<dyn TraceSource> {
+        let key = StreamKey {
+            benchmark: profile.name.clone(),
+            seed,
+        };
+        let tape = self.memo().get_mut(&key).map(|entry| {
+            entry
+                .tape
+                .get_or_insert_with(|| {
+                    Arc::new(Tape::new(profile.clone(), seed, self.counters.clone()))
+                })
+                .clone()
+        });
+        match tape {
+            Some(tape) if tape.has_profile(profile) => Box::new(tape.reader()),
+            _ => Box::new(TraceGenerator::new(profile.clone(), seed)),
+        }
+    }
+
+    /// One source per core of `cfg` running `profiles` under `seed_salt`
+    /// (see [`StreamCache::source`]).
+    pub fn sources(
+        &self,
+        cfg: &MachineConfig,
+        profiles: &[BenchmarkProfile],
+        seed_salt: u64,
+    ) -> Vec<Box<dyn TraceSource>> {
+        profiles
+            .iter()
+            .enumerate()
+            .map(|(i, p)| self.source(p, System::thread_seed(cfg, i, seed_salt)))
+            .collect()
+    }
+
+    /// Snapshot of the memo's counters.
+    pub fn stats(&self) -> StreamStats {
+        let map = self.memo();
+        StreamStats {
+            pinned: map.len() as u64,
+            live: map.values().filter(|e| e.tape.is_some()).count() as u64,
+            resident_bytes: self.counters.resident_bytes(),
+            peak_bytes: self.counters.peak_bytes(),
+            generated: self.counters.generated(),
+            served: self.counters.served(),
+        }
     }
 }
 

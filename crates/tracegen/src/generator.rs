@@ -13,10 +13,10 @@ pub const LINE_BYTES: u64 = 128;
 /// components never overlap; components with the same index share a base
 /// across phases, so phase changes partially reuse data (as SimPoint phases
 /// of a real benchmark do).
-const COMPONENT_SLOT_LINES: u64 = 1 << 28;
+pub(crate) const COMPONENT_SLOT_LINES: u64 = 1 << 28;
 
 /// Base line number of the streaming (Fresh) frontier.
-const FRESH_BASE_LINE: u64 = 1 << 40;
+pub(crate) const FRESH_BASE_LINE: u64 = 1 << 40;
 
 /// Lines per tier of a [`TieredStack`].
 const TIER: usize = 256;

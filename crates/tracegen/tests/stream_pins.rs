@@ -8,8 +8,13 @@
 //! stacks rebuilt when a phase changes their region size (gcc, galgel,
 //! apsi, bzip2, gzip, perlbmk, applu). Any change to the generator's
 //! sampling order or arithmetic shows here.
+//!
+//! Each stream is read a second time through a [`Tape`] reader, which
+//! must replay the same digest: sweeps read their streams from tapes, so
+//! drift in the tape code shows here too.
 
-use tracegen::{benchmark, benchmark_names, TraceGenerator};
+use std::sync::Arc;
+use tracegen::{benchmark, benchmark_names, Tape, TraceGenerator, TraceSource};
 
 /// Records digested per stream.
 const RECORDS: usize = 400_000;
@@ -72,12 +77,8 @@ const SEED_42: &[(&str, u64)] = &[
     ("mgrid", 0x469331aefb4b931b),
 ];
 
-/// Digest of the first [`RECORDS`] records of `name` at `seed`, after
-/// checking the stream crossed its first phase boundary.
-fn stream_digest(name: &str, seed: u64) -> u64 {
-    let profile = benchmark(name).unwrap();
-    let first_phase = profile.phases[0].insts;
-    let mut gen = TraceGenerator::new(profile, seed);
+/// Digest of the first [`RECORDS`] records of `source`.
+fn digest(source: &mut dyn TraceSource) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -86,15 +87,32 @@ fn stream_digest(name: &str, seed: u64) -> u64 {
         }
     };
     for _ in 0..RECORDS {
-        let r = gen.next_record();
+        let r = source.next_record();
         eat(&r.gap.to_le_bytes());
         eat(&r.addr.to_le_bytes());
         eat(&[u8::from(r.is_write)]);
     }
+    h
+}
+
+/// Digest of the first [`RECORDS`] records of `name` at `seed`, after
+/// checking the stream crossed its first phase boundary and that a tape
+/// replays the same records.
+fn stream_digest(name: &str, seed: u64) -> u64 {
+    let profile = benchmark(name).unwrap();
+    let first_phase = profile.phases[0].insts;
+    let mut gen = TraceGenerator::new(profile.clone(), seed);
+    let h = digest(&mut gen);
     assert!(
         gen.instructions() > first_phase,
         "{name}: {} insts never left the first phase ({first_phase})",
         gen.instructions()
+    );
+    let tape = Arc::new(Tape::new(profile, seed, Arc::default()));
+    assert_eq!(
+        digest(&mut tape.reader()),
+        h,
+        "{name}: the tape replays another stream"
     );
     h
 }

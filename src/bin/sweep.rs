@@ -246,6 +246,16 @@ fn print_status(status: &service::DaemonStatus) {
         "workers: {}  memo: {} entries, {} hits, {} misses",
         status.workers, status.memo.entries, status.memo.hits, status.memo.misses
     );
+    let streams = &status.streams;
+    println!(
+        "streams: {} live, {} pinned, {} B resident (peak {} B), {} records generated, {} served",
+        streams.live,
+        streams.pinned,
+        streams.resident_bytes,
+        streams.peak_bytes,
+        streams.generated,
+        streams.served
+    );
     if status.jobs.is_empty() {
         println!("no jobs");
         return;

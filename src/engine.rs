@@ -240,12 +240,19 @@ impl SimEngine {
     /// Build (but do not run) the system for a workload — for callers
     /// that need mid-run access, e.g. the controller's partition history.
     pub fn system(&self, workload: &Workload) -> System {
-        System::from_workload_scheme(&self.cfg, workload, &self.scheme, self.seed_salt)
+        self.system_from_profiles(&workload.profiles())
     }
 
     /// Build (but do not run) the system for an explicit benchmark list.
+    /// Records come from the stream memo of the engine's isolation
+    /// cache: tapes for streams a worker pool pinned, fresh generators
+    /// otherwise (see [`cmpsim::StreamCache`]).
     pub fn system_from_profiles(&self, profiles: &[BenchmarkProfile]) -> System {
-        System::from_profiles_scheme(&self.cfg, profiles, &self.scheme, self.seed_salt)
+        let sources = self
+            .isolation
+            .streams()
+            .sources(&self.cfg, profiles, self.seed_salt);
+        System::from_sources_scheme(&self.cfg, profiles, sources, &self.scheme, self.seed_salt)
     }
 
     /// Run one workload to completion.

@@ -17,7 +17,7 @@
 use crate::engine::{IsolationCache, SimEngine};
 use crate::scenario::spec::{ScenarioSpec, WorkloadSel};
 use cachesim::CacheGeometry;
-use cmpsim::MachineConfig;
+use cmpsim::{MachineConfig, StreamKey};
 use plru_core::{EnforcementStyle, ProfilerFidelity, Scheme};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -111,6 +111,34 @@ impl ScenarioCase {
             .unwrap_or(ProfilerFidelity::Exact)
     }
 
+    /// The record streams the case reads: one per core (none for a
+    /// recorded case, which replays its container) and one per
+    /// isolation run. The worker pool pins them in the stream memo while
+    /// the case is queued or running.
+    pub fn stream_keys(&self) -> Vec<StreamKey> {
+        let cfg = self.machine();
+        let live_cores = if self.recorded.is_some() {
+            0
+        } else {
+            self.threads()
+        };
+        let cores = self.benchmarks[..live_cores]
+            .iter()
+            .enumerate()
+            .map(|(i, b)| StreamKey::new(&cfg, i, b, self.seed_salt));
+        let solo = self
+            .benchmarks
+            .iter()
+            .map(|b| StreamKey::isolation(&cfg, b, self.seed_salt));
+        let mut keys: Vec<StreamKey> = Vec::new();
+        for key in cores.chain(solo) {
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys
+    }
+
     /// Build the case's engine on a shared isolation memo.
     pub fn engine(&self, isolation: Arc<IsolationCache>) -> SimEngine {
         SimEngine::builder()
@@ -147,12 +175,18 @@ fn non_empty<T>(axis: &[T], name: &str) -> Result<(), ScenarioError> {
 impl ScenarioSpec {
     /// Expand the spec into its ordered case list.
     ///
-    /// Errors on unknown workload/benchmark/scheme names, empty axes, and
-    /// (size, associativity, policy) combinations no case could simulate
+    /// Errors on an instruction budget of 0 (no IPC to measure), unknown
+    /// workload/benchmark/scheme names, empty axes, and (size,
+    /// associativity, policy) combinations no case could simulate
     /// (invalid geometry, or BT at a non-power-of-two associativity).
     pub fn expand(&self) -> Result<Vec<ScenarioCase>, ScenarioError> {
         let baseline = MachineConfig::paper_baseline(2);
         let insts = self.insts.unwrap_or(baseline.insts_target);
+        if insts == 0 {
+            return Err(ScenarioError::new(
+                "`insts` must be positive: a case measures IPC over its instructions",
+            ));
+        }
         let seed = self.seed.unwrap_or(baseline.seed);
         let capture_history = self.capture_history.unwrap_or(false);
 
@@ -353,6 +387,15 @@ mod tests {
         assert_eq!(c.seed, MachineConfig::paper_baseline(2).seed);
         assert_eq!(c.machine().num_cores, 2);
         assert!(!c.capture_history);
+    }
+
+    #[test]
+    fn zero_insts_is_rejected() {
+        let mut spec = base_spec();
+        spec.insts = Some(0);
+        let err = spec.expand().unwrap_err().to_string();
+        assert!(err.starts_with("`insts` must be positive"), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
     }
 
     #[test]

@@ -22,6 +22,15 @@
 //! share one mutex and one condvar, so no submit or stop wakeup can be
 //! lost between a worker's check and its wait.
 //!
+//! The pool also scopes the stream memo ([`cmpsim::StreamCache`], carried
+//! by the shared [`IsolationCache`]): [`WorkerPool::submit`] pins every
+//! record stream a case will read (its cores' and its isolation runs'),
+//! and the case's outcome — completed, skipped or failed — releases
+//! them before it is posted. A stream is therefore synthesized once
+//! while any queued or running case needs it, and freed as soon as none
+//! does: once every submitted case's outcome is in, the memo holds
+//! nothing.
+//!
 //! Workers can optionally be pinned to cores (best-effort Linux
 //! `sched_setaffinity`; silently a no-op where unsupported) — useful for
 //! a resident daemon that should not migrate across a busy machine.
@@ -29,7 +38,7 @@
 use crate::engine::IsolationCache;
 use crate::scenario::expand::ScenarioCase;
 use crate::scenario::report::CaseReport;
-use cmpsim::WorkloadMetrics;
+use cmpsim::{StreamKey, WorkloadMetrics};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -87,8 +96,38 @@ impl CaseOutcome {
     }
 }
 
+/// A case's stream keys, pinned in the memo from submit until its
+/// outcome is decided; dropping the guard releases them.
+struct Pins {
+    memo: Arc<IsolationCache>,
+    keys: Vec<StreamKey>,
+}
+
+impl Pins {
+    fn new(memo: &Arc<IsolationCache>, case: &ScenarioCase) -> Self {
+        let keys = case.stream_keys();
+        memo.streams().pin(&keys);
+        Pins {
+            memo: memo.clone(),
+            keys,
+        }
+    }
+}
+
+impl Drop for Pins {
+    fn drop(&mut self) {
+        self.memo.streams().release(&self.keys);
+    }
+}
+
+/// A submitted task and the pins it holds while queued or running.
+struct Queued {
+    task: CaseTask,
+    pins: Pins,
+}
+
 struct PoolState {
-    queue: VecDeque<CaseTask>,
+    queue: VecDeque<Queued>,
     /// `true` once shutdown begins: workers take no further task and
     /// `submit` acknowledges instead of queueing.
     stop: bool,
@@ -179,17 +218,21 @@ impl WorkerPool {
         &self.shared.isolation
     }
 
-    /// Enqueue one case. Exactly one [`CaseOutcome`] will be posted to
-    /// `task.sink` for it, even through cancellation or a case panic; a
-    /// stopped pool acknowledges it as skipped before returning.
+    /// Enqueue one case, pinning the record streams it will read (see
+    /// the module docs). Exactly one [`CaseOutcome`] will be posted to
+    /// `task.sink` for it, even through cancellation or a case panic,
+    /// and its streams are released before it is; a stopped pool
+    /// acknowledges it as skipped before returning.
     pub fn submit(&self, task: CaseTask) {
+        let pins = Pins::new(&self.shared.isolation, &task.case);
+        let queued = Queued { task, pins };
         let mut state = self.shared.state();
         if state.stop {
             drop(state);
-            skip(task);
+            skip(queued);
             return;
         }
-        state.queue.push_back(task);
+        state.queue.push_back(queued);
         drop(state);
         self.shared.idle.notify_one();
     }
@@ -281,12 +324,13 @@ fn worker_loop(shared: &PoolShared) {
 }
 
 /// Acknowledge a task without running it.
-fn skip(task: CaseTask) {
+fn skip(Queued { task, pins }: Queued) {
+    drop(pins);
     let index = task.case.index;
     let _ = task.sink.send(CaseOutcome::Skipped { index });
 }
 
-fn run_task(task: CaseTask, shared: &PoolShared) {
+fn run_task(Queued { task, pins }: Queued, shared: &PoolShared) {
     let index = task.case.index;
     let outcome = if task.cancelled.load(Ordering::Acquire) {
         CaseOutcome::Skipped { index }
@@ -299,10 +343,13 @@ fn run_task(task: CaseTask, shared: &PoolShared) {
             },
             Err(panic) => CaseOutcome::Failed {
                 index,
-                message: panic_message(&panic),
+                message: panic_message(&*panic),
             },
         }
     };
+    // Released before the outcome is posted, so a collector that has
+    // every outcome sees a memo without this case's streams.
+    drop(pins);
     // A closed sink means the job's collector is gone (client vanished
     // and the job was torn down); nothing is owed to anyone.
     let _ = task.sink.send(outcome);
@@ -496,6 +543,8 @@ mod tests {
             .filter(|o| matches!(o, CaseOutcome::Skipped { .. }))
             .count();
         assert!(skipped >= 10, "only {skipped} of 20 queued cases skipped");
+        let streams = pool.isolation_cache().streams().stats();
+        assert_eq!(streams.pinned, 0, "skipped cases release their streams");
     }
 
     #[test]
@@ -514,6 +563,91 @@ mod tests {
             Err(RecvTimeoutError::Timeout) => panic!("late submit never acknowledged"),
             Err(e) => panic!("sink closed without an ack: {e}"),
         }
+    }
+
+    #[test]
+    fn failed_cases_carry_the_panic_message() {
+        // Expansion rejects a budget of 0; a hand-built case with one
+        // runs and panics on its zero isolation IPC.
+        let pool = WorkerPool::new(1, Arc::default(), false);
+        let mut case = tiny_cases().remove(0);
+        case.insts = 0;
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.submit(CaseTask {
+            case,
+            cancelled: Arc::new(AtomicBool::new(false)),
+            sink: tx,
+        });
+        match rx.recv().unwrap() {
+            CaseOutcome::Failed { index: 0, message } => {
+                assert_eq!(message, "isolation IPC must be positive")
+            }
+            other => panic!("expected a failure, got {other:?}"),
+        }
+        let streams = pool.isolation_cache().streams().stats();
+        assert_eq!(streams.pinned, 0, "a failed case releases its streams");
+        pool.shutdown();
+    }
+
+    /// Two workloads sharing a benchmark, two schemes, two salts.
+    fn memo_cases() -> Vec<ScenarioCase> {
+        ScenarioSpec {
+            name: "pool-memo".into(),
+            insts: Some(12_000),
+            workloads: vec![
+                WorkloadSel::Profiles(vec!["gzip".into(), "eon".into()]),
+                WorkloadSel::Profiles(vec!["gzip".into(), "gzip".into()]),
+            ],
+            schemes: vec!["L".into(), "M-L".into()].into(),
+            seed_salts: Some(vec![0, 1]),
+            ..Default::default()
+        }
+        .expand()
+        .unwrap()
+    }
+
+    #[test]
+    fn the_memo_holds_no_stream_after_run_ordered() {
+        let pool = WorkerPool::new(2, Arc::default(), false);
+        let cases = memo_cases();
+        pool.run_ordered(&cases);
+        let s = pool.isolation_cache().streams().stats();
+        assert_eq!((s.pinned, s.live, s.resident_bytes), (0, 0, 0), "{s:?}");
+        assert!(s.peak_bytes > 0, "the sweep read its streams from tapes");
+        assert!(
+            s.generated < s.served,
+            "cases shared streams: {} generated, {} served",
+            s.generated,
+            s.served
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_cancelled_job_releases_its_queued_streams() {
+        let pool = WorkerPool::new(1, Arc::default(), false);
+        let cases = memo_cases();
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        for case in &cases {
+            pool.submit(CaseTask {
+                case: case.clone(),
+                cancelled: cancelled.clone(),
+                sink: tx.clone(),
+            });
+        }
+        drop(tx);
+        // Cancel at once, while the single worker is on its first case
+        // and the rest wait in the queue with their streams pinned.
+        cancelled.store(true, Ordering::Release);
+        let skipped = rx
+            .iter()
+            .filter(|o| matches!(o, CaseOutcome::Skipped { .. }))
+            .count();
+        assert!(skipped > 0, "every case ran before the cancel");
+        let s = pool.isolation_cache().streams().stats();
+        assert_eq!((s.pinned, s.live, s.resident_bytes), (0, 0, 0), "{s:?}");
+        pool.shutdown();
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! `tests/sweep_service.rs`).
 
 use crate::scenario::{ScenarioSpec, SweepReport};
-use cmpsim::MemoStats;
+use cmpsim::{MemoStats, StreamStats};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -197,6 +197,9 @@ pub struct DaemonStatus {
     pub workers: usize,
     /// Lifetime isolation-memo counters (see [`cmpsim::MemoStats`]).
     pub memo: MemoStats,
+    /// Stream-memo counters (see [`cmpsim::StreamStats`]): between jobs
+    /// `live` and `pinned` read 0.
+    pub streams: StreamStats,
     /// Every job the daemon has seen, oldest first.
     pub jobs: Vec<JobSummary>,
 }
@@ -557,6 +560,14 @@ mod tests {
                 entries: 2,
                 hits: 10,
                 misses: 2,
+            },
+            streams: cmpsim::StreamStats {
+                pinned: 3,
+                live: 2,
+                resident_bytes: 65_536,
+                peak_bytes: 98_304,
+                generated: 40_960,
+                served: 81_920,
             },
             jobs: vec![JobSummary {
                 job: 1,

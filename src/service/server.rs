@@ -676,6 +676,7 @@ fn status_response(shared: &ServerShared, filter: Option<u64>) -> Result<DaemonS
     Ok(DaemonStatus {
         workers: shared.pool.workers(),
         memo: now,
+        streams: shared.pool.isolation_cache().streams().stats(),
         jobs,
     })
 }

@@ -1,8 +1,14 @@
 //! Differential test in the spirit of `tests/engine_equivalence.rs`: the
-//! work-stealing `SweepRunner` must be a pure scheduler. Every case
-//! result it reports — full `SimResult`, metrics, isolation IPCs — must
-//! be bit-identical to running the same expanded case sequentially
-//! through `SimEngine::run` with a private isolation cache.
+//! pool-backed `SweepRunner` must be a pure scheduler. Every case result
+//! it reports — full `SimResult`, metrics, isolation IPCs — must be
+//! bit-identical to running the same expanded case sequentially through
+//! `SimEngine::run` with a private isolation cache.
+//!
+//! The pool reads each record stream from the stream memo (one tape per
+//! benchmark and trace seed, shared by every case and isolation run that
+//! reads it); the sequential reference runs plain generators. So this is
+//! also memo-on ≡ memo-off, at 1, 2 and 4 workers, on a spec whose
+//! `["gzip", "gzip"]` mix reads two streams of one benchmark.
 
 use plru_repro::prelude::*;
 use std::sync::Arc;
@@ -15,6 +21,7 @@ fn sweep_runner_matches_sequential_engine_runs() {
         workloads: vec![
             WorkloadSel::Named("2T_05".into()),
             WorkloadSel::Profiles(vec!["gzip".into(), "eon".into()]),
+            WorkloadSel::Profiles(vec!["gzip".into(), "gzip".into()]),
         ],
         schemes: vec!["L".into(), "M-0.75N".into()].into(),
         l2_sizes: Some(vec![512 * 1024, 2 * 1024 * 1024]),
@@ -24,12 +31,19 @@ fn sweep_runner_matches_sequential_engine_runs() {
     let cases = spec.expand().unwrap();
     assert_eq!(
         cases.len(),
-        16,
-        "2 workloads x 2 schemes x 2 sizes x 2 salts"
+        24,
+        "3 workloads x 2 schemes x 2 sizes x 2 salts"
     );
 
-    let report = SweepRunner::with_threads(4).run(&spec).unwrap();
-    assert_eq!(report.cases.len(), cases.len());
+    let reports: Vec<(usize, SweepReport)> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            (
+                threads,
+                SweepRunner::with_threads(threads).run(&spec).unwrap(),
+            )
+        })
+        .collect();
 
     for case in &cases {
         // A fresh engine and a fresh isolation cache per case: no state
@@ -40,36 +54,39 @@ fn sweep_runner_matches_sequential_engine_runs() {
         let reference_iso = engine.isolation_ipcs(&workload.benchmarks);
         let reference_metrics = WorkloadMetrics::compute(&reference.ipcs(), &reference_iso);
 
-        let swept = &report.cases[case.index];
-        assert_eq!(&swept.case, case, "case echoed verbatim");
-        // Full bit-identity of the simulation outcome, via the serialized
-        // form so every field (per-core counters, L2 stats, allocation)
-        // is covered without a PartialEq impl.
-        assert_eq!(
-            serde_json::to_string(&swept.result).unwrap(),
-            serde_json::to_string(&reference).unwrap(),
-            "case {} ({} / {} / {} B / salt {})",
-            case.index,
-            case.workload,
-            case.scheme.acronym(),
-            case.l2_bytes,
-            case.seed_salt,
-        );
-        assert_eq!(swept.isolation_ipcs, reference_iso, "case {}", case.index);
-        assert_eq!(
-            swept.metrics.throughput, reference_metrics.throughput,
-            "case {}",
-            case.index
-        );
-        assert_eq!(
-            swept.metrics.weighted_speedup, reference_metrics.weighted_speedup,
-            "case {}",
-            case.index
-        );
-        assert_eq!(
-            swept.metrics.harmonic_mean, reference_metrics.harmonic_mean,
-            "case {}",
-            case.index
-        );
+        for (threads, report) in &reports {
+            assert_eq!(report.cases.len(), cases.len());
+            let swept = &report.cases[case.index];
+            let at = format!(
+                "case {} ({} / {} / {} B / salt {}) at {threads} worker(s)",
+                case.index,
+                case.workload,
+                case.scheme.acronym(),
+                case.l2_bytes,
+                case.seed_salt,
+            );
+            assert_eq!(&swept.case, case, "{at}: case echoed verbatim");
+            // Full bit-identity of the simulation outcome, via the
+            // serialized form so every field (per-core counters, L2
+            // stats, allocation) is covered without a PartialEq impl.
+            assert_eq!(
+                serde_json::to_string(&swept.result).unwrap(),
+                serde_json::to_string(&reference).unwrap(),
+                "{at}"
+            );
+            assert_eq!(swept.isolation_ipcs, reference_iso, "{at}");
+            assert_eq!(
+                swept.metrics.throughput, reference_metrics.throughput,
+                "{at}"
+            );
+            assert_eq!(
+                swept.metrics.weighted_speedup, reference_metrics.weighted_speedup,
+                "{at}"
+            );
+            assert_eq!(
+                swept.metrics.harmonic_mean, reference_metrics.harmonic_mean,
+                "{at}"
+            );
+        }
     }
 }

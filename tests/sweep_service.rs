@@ -271,21 +271,33 @@ fn unknown_jobs_and_running_jobs_answer_with_their_codes() {
 fn bad_specs_are_rejected_at_submit() {
     let dir = scratch("badspec");
     let server = start_server(&dir, 1);
-    let mut spec = tiny_spec("bad", 15_000);
-    spec.schemes = vec!["Q-nonsense".into()].into();
-    let submit = Request::Submit {
-        spec: Box::new(spec),
-        watch: false,
-    };
-    let err = service::request(server.socket(), &submit).expect_err("bad scheme");
+    let mut bad_scheme = tiny_spec("bad", 15_000);
+    bad_scheme.schemes = vec!["Q-nonsense".into()].into();
+    // No IPC can be measured over zero instructions.
+    let zero_insts = tiny_spec("bad", 0);
+    let errors: Vec<_> = [bad_scheme, zero_insts]
+        .into_iter()
+        .map(|spec| {
+            let submit = Request::Submit {
+                spec: Box::new(spec),
+                watch: false,
+            };
+            service::request(server.socket(), &submit).expect_err("bad spec")
+        })
+        .collect();
     server.stop();
-    assert!(matches!(
-        err,
-        service::ClientError::Server {
-            code: ErrorCode::BadSpec,
-            ..
-        }
-    ));
+    for err in errors {
+        assert!(
+            matches!(
+                err,
+                service::ClientError::Server {
+                    code: ErrorCode::BadSpec,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
 }
 
 #[test]
