@@ -37,6 +37,55 @@ pub struct L1Pair {
     pub dcache: Cache,
 }
 
+impl L1Pair {
+    /// A cold pair. L1s always use true LRU (Table II) and are private:
+    /// each is a one-core cache.
+    pub fn new(l1i: CacheGeometry, l1d: CacheGeometry) -> Self {
+        let private = |geometry| {
+            Cache::new(CacheConfig {
+                geometry,
+                policy: PolicyKind::Lru,
+                num_cores: 1,
+                seed: 0,
+            })
+        };
+        L1Pair {
+            icache: private(l1i),
+            dcache: private(l1d),
+        }
+    }
+
+    /// Fetch `addrs` through the L1I with the batch kernel, appending
+    /// the lines that missed — as reads by `core`, in stream order — to
+    /// `misses`. `batch` is scratch space. Returns the L1I's counts.
+    pub fn fetch(
+        &mut self,
+        core: usize,
+        addrs: &[Addr],
+        batch: &mut Vec<Access>,
+        misses: &mut Vec<Access>,
+    ) -> BatchStats {
+        batch.clear();
+        batch.extend(addrs.iter().map(|&a| Access::read(0, a)));
+        let from = misses.len();
+        let mut stats = BatchStats::default();
+        self.icache
+            .access_batch_collecting(batch, &mut stats, misses);
+        // The L1I is a one-core cache (core id 0); the shared L2 needs
+        // the real issuing core.
+        for a in &mut misses[from..] {
+            a.core = core as u8;
+        }
+        stats
+    }
+
+    /// A data access through the L1D; `true` on a hit.
+    #[inline]
+    pub fn data(&mut self, addr: Addr, write: bool) -> bool {
+        self.dcache.access(0, addr, write).hit
+    }
+}
+
 /// Per-level access counts of one batched hierarchy call; enough to charge
 /// miss penalties without materializing per-access outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,20 +150,7 @@ impl Hierarchy {
         seed: u64,
     ) -> Self {
         let l1 = (0..num_cores)
-            .map(|_| L1Pair {
-                icache: Cache::new(CacheConfig {
-                    geometry: l1i_geom,
-                    policy: PolicyKind::Lru,
-                    num_cores: 1,
-                    seed: 0,
-                }),
-                dcache: Cache::new(CacheConfig {
-                    geometry: l1d_geom,
-                    policy: PolicyKind::Lru,
-                    num_cores: 1,
-                    seed: 0,
-                }),
-            })
+            .map(|_| L1Pair::new(l1i_geom, l1d_geom))
             .collect();
         let l2 = Cache::new(CacheConfig {
             geometry: l2_geom,
@@ -137,8 +173,7 @@ impl Hierarchy {
 
     /// Data access from `core`.
     pub fn access_data(&mut self, core: usize, addr: Addr, write: bool) -> HierarchyOutcome {
-        let l1_out = self.l1[core].dcache.access(0, addr, write);
-        if l1_out.hit {
+        if self.l1[core].data(addr, write) {
             return HierarchyOutcome {
                 level: MemLevel::L1,
             };
@@ -169,22 +204,8 @@ impl Hierarchy {
         addrs: &[Addr],
         scratch: &mut BatchScratch,
     ) -> BatchLevels {
-        scratch.l1_batch.clear();
-        scratch
-            .l1_batch
-            .extend(addrs.iter().map(|&a| Access::read(0, a)));
         scratch.l1_misses.clear();
-        let mut l1 = BatchStats::default();
-        self.l1[core].icache.access_batch_collecting(
-            &scratch.l1_batch,
-            &mut l1,
-            &mut scratch.l1_misses,
-        );
-        // Private L1s are single-core caches (core id 0); the shared L2
-        // needs the real issuing core.
-        for a in &mut scratch.l1_misses {
-            a.core = core as u8;
-        }
+        let l1 = self.l1[core].fetch(core, addrs, &mut scratch.l1_batch, &mut scratch.l1_misses);
         let mut l2 = BatchStats::default();
         self.l2.access_batch(&scratch.l1_misses, &mut l2);
         BatchLevels {

@@ -11,93 +11,77 @@ use tracegen::{BenchmarkProfile, MemRecord, TraceSource};
 /// Byte address base of per-core code regions (far above all data
 /// regions generated by `tracegen`).
 const CODE_BASE_BYTES: u64 = 1 << 60;
+/// Bytes per instruction-fetch line.
+const FETCH_LINE_BYTES: u64 = 128;
 
-/// One simulated core running one thread.
-///
-/// The memory-access stream comes from a [`TraceSource`] — a live
-/// [`TraceGenerator`](tracegen::TraceGenerator), a stream-memo tape or a
-/// recorded-trace reader — while the timing model
-/// (base CPI, code footprint for instruction-fetch synthesis) always
-/// comes from the benchmark's profile.
+/// Offset added to core `core`'s data addresses: multiprogrammed
+/// workloads have disjoint address spaces.
+pub(crate) fn data_offset(core: usize) -> u64 {
+    (core as u64) << 52
+}
+
+/// Byte address of line `line` of core `core`'s code region.
+pub(crate) fn code_addr(core: usize, line: u64) -> u64 {
+    CODE_BASE_BYTES + ((core as u64) << 40) + line * FETCH_LINE_BYTES
+}
+
+/// The line of a core-0 code address: the inverse of `code_addr(0, _)`.
+pub(crate) fn code_line(addr: u64) -> u64 {
+    (addr - CODE_BASE_BYTES) / FETCH_LINE_BYTES
+}
+
+/// One core's record stream: a [`TraceSource`] — a live
+/// [`TraceGenerator`](tracegen::TraceGenerator) or a recorded-trace
+/// reader — with the core's address offset applied, and the
+/// instruction-fetch lines its instructions issue, synthesized from the
+/// benchmark's code footprint.
 #[derive(Debug)]
-pub struct CoreModel {
+pub struct Records {
     source: Box<dyn TraceSource>,
-    benchmark: String,
-    base_cpi: f64,
     code_lines: u64,
     insts_per_fetch_line: u64,
-    /// Local clock in cycles.
-    pub cycle: u64,
-    /// Committed instructions.
-    pub insts: u64,
-    /// Cycle at which the instruction target was reached (stats freeze).
-    pub finish_cycle: Option<u64>,
-    /// Fractional-cycle accumulator for the base-CPI charge.
-    frac: f64,
     /// Sequential instruction-fetch cursor (line units).
     fetch_cursor: u64,
     /// Instructions since the last fetch-line boundary.
     fetch_accum: u64,
-    /// Per-core address-space offset making workloads disjoint.
-    addr_offset: u64,
-    core_id: u64,
+    core_id: usize,
 }
 
-impl CoreModel {
-    /// Build a core pulling records from a [`TraceSource`]; `profile`
-    /// supplies only the timing model.
-    pub fn from_source(
+impl Records {
+    /// Core `core_id`'s stream of `source`, fetching one line per
+    /// `insts_per_fetch_line` instructions through `profile`'s code
+    /// footprint.
+    pub fn new(
         core_id: usize,
         profile: &BenchmarkProfile,
         source: Box<dyn TraceSource>,
         insts_per_fetch_line: u64,
     ) -> Self {
         assert!(insts_per_fetch_line >= 1);
-        CoreModel {
+        Records {
             source,
-            benchmark: profile.name.clone(),
-            base_cpi: profile.base_cpi,
             code_lines: profile.code_lines.max(1),
             insts_per_fetch_line,
-            cycle: 0,
-            insts: 0,
-            finish_cycle: None,
-            frac: 0.0,
             fetch_cursor: 0,
             fetch_accum: 0,
-            // Multiprogrammed workloads have disjoint address spaces.
-            addr_offset: (core_id as u64) << 52,
-            core_id: core_id as u64,
+            core_id,
         }
-    }
-
-    /// The benchmark name this core runs.
-    pub fn benchmark(&self) -> &str {
-        &self.benchmark
     }
 
     /// Pull the next trace record, with the per-core address offset
     /// applied.
+    #[inline]
     pub fn next_record(&mut self) -> MemRecord {
         let mut r = self.source.next_record();
-        r.addr += self.addr_offset;
+        r.addr += data_offset(self.core_id);
         r
-    }
-
-    /// Charge the base (non-memory) cycles for `insts` instructions,
-    /// returning the whole-cycle amount.
-    pub fn charge_base(&mut self, insts: u64) -> u64 {
-        self.frac += insts as f64 * self.base_cpi;
-        let whole = self.frac as u64;
-        self.frac -= whole as f64;
-        whole
     }
 
     /// Instruction-fetch line addresses covering `insts` sequentially
     /// executed instructions, appended to a caller-owned buffer (cleared
     /// first): the fetch cursor walks the benchmark's code footprint
     /// cyclically, one L1I line per `insts_per_fetch_line` instructions.
-    /// The simulator's hot loop reuses one buffer per system so the
+    /// The simulator's hot loop reuses one buffer per core so the
     /// batched fetch path never allocates per record.
     pub fn fetch_addrs_into(&mut self, insts: u64, out: &mut Vec<u64>) {
         out.clear();
@@ -108,8 +92,85 @@ impl CoreModel {
         for _ in 0..n {
             let line = self.fetch_cursor % self.code_lines;
             self.fetch_cursor += 1;
-            out.push(CODE_BASE_BYTES + (self.core_id << 40) + line * 128);
+            out.push(code_addr(self.core_id, line));
         }
+    }
+}
+
+/// One simulated core: a front end `F` that yields its memory stream,
+/// and the timing model that clocks it.
+///
+/// The default front end is a core's [`Records`], whose data accesses
+/// and fetch lines the caller runs through a cache hierarchy; a running
+/// `System` uses its own front end, which also owns the core's private
+/// L1s. Either way, the timing model (base CPI, freeze point) comes from
+/// the benchmark's profile.
+#[derive(Debug)]
+pub struct CoreModel<F = Records> {
+    pub(crate) front: F,
+    benchmark: String,
+    base_cpi: f64,
+    /// Local clock in cycles.
+    pub cycle: u64,
+    /// Committed instructions.
+    pub insts: u64,
+    /// Cycle at which the instruction target was reached (stats freeze).
+    pub finish_cycle: Option<u64>,
+    /// Fractional-cycle accumulator for the base-CPI charge.
+    frac: f64,
+}
+
+impl CoreModel {
+    /// Build a core pulling records from a [`TraceSource`]; `profile`
+    /// supplies only the timing model and the code footprint.
+    pub fn from_source(
+        core_id: usize,
+        profile: &BenchmarkProfile,
+        source: Box<dyn TraceSource>,
+        insts_per_fetch_line: u64,
+    ) -> Self {
+        let records = Records::new(core_id, profile, source, insts_per_fetch_line);
+        CoreModel::with_front(profile, records)
+    }
+
+    /// Pull the next trace record (see [`Records::next_record`]).
+    pub fn next_record(&mut self) -> MemRecord {
+        self.front.next_record()
+    }
+
+    /// The fetch lines of `insts` instructions (see
+    /// [`Records::fetch_addrs_into`]).
+    pub fn fetch_addrs_into(&mut self, insts: u64, out: &mut Vec<u64>) {
+        self.front.fetch_addrs_into(insts, out)
+    }
+}
+
+impl<F> CoreModel<F> {
+    /// A core at cycle 0 running `profile`'s timing model over `front`.
+    pub fn with_front(profile: &BenchmarkProfile, front: F) -> Self {
+        CoreModel {
+            front,
+            benchmark: profile.name.clone(),
+            base_cpi: profile.base_cpi,
+            cycle: 0,
+            insts: 0,
+            finish_cycle: None,
+            frac: 0.0,
+        }
+    }
+
+    /// The benchmark name this core runs.
+    pub fn benchmark(&self) -> &str {
+        &self.benchmark
+    }
+
+    /// Charge the base (non-memory) cycles for `insts` instructions,
+    /// returning the whole-cycle amount.
+    pub fn charge_base(&mut self, insts: u64) -> u64 {
+        self.frac += insts as f64 * self.base_cpi;
+        let whole = self.frac as u64;
+        self.frac -= whole as f64;
+        whole
     }
 
     /// Has this core committed its target?

@@ -12,6 +12,13 @@
 //! every L2 access is reported to the owning thread's profiler, and at
 //! every interval boundary the controller repartitions the L2.
 //!
+//! Each core's front end (record source, fetch synthesis, private L1s;
+//! see [`front`]) is independent of the scheme and of the other cores,
+//! so the cases of a sweep can share it: the stream memo
+//! ([`StreamCache`]) runs it once per stream into a step [`tape`], and
+//! each case replays only the back end — the shared L2, the controller
+//! and the clocks.
+//!
 //! ## Example
 //!
 //! ```
@@ -30,9 +37,11 @@
 
 pub mod config;
 pub mod core_model;
+pub mod front;
 pub mod metrics;
 pub mod runner;
 pub mod system;
+pub mod tape;
 
 pub use config::{Latencies, MachineConfig};
 pub use core_model::CoreModel;

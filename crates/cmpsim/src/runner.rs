@@ -5,18 +5,20 @@
 //! runner fans them out across hardware threads with `std::thread::scope`
 //! (no `'static` bound on the work items), memoises the expensive
 //! isolation runs every relative metric divides by, and lets the cases
-//! of a sweep that read the same per-core stream share one generator
+//! of a sweep that read the same per-core stream share one front end
 //! ([`StreamCache`]).
 
 use crate::config::MachineConfig;
+use crate::front::Front;
 use crate::system::System;
-use cachesim::PolicyKind;
+use crate::tape::{StepTape, TapeCounters};
+use cachesim::{CacheGeometry, PolicyKind};
 use plru_core::Scheme;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use tracegen::{BenchmarkProfile, Tape, TapeCounters, TraceGenerator, TraceSource};
+use tracegen::{BenchmarkProfile, TraceGenerator};
 
 /// Parallel map over `items`, preserving order. Work is distributed by an
 /// atomic cursor so uneven item costs (8-thread runs take 4x the work of
@@ -178,17 +180,9 @@ impl IsolationCache {
         let profile = tracegen::benchmark(benchmark)
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
         let scheme = Scheme::bare(policy);
-        let source = self.streams.source(
-            &profile,
-            StreamKey::isolation(&key.solo_cfg, benchmark, seed_salt).seed,
-        );
-        let mut sys = System::from_sources_scheme(
-            &key.solo_cfg,
-            &[profile],
-            vec![source],
-            &scheme,
-            seed_salt,
-        );
+        let front = self.streams.front(&key.solo_cfg, 0, &profile, seed_salt);
+        let mut sys =
+            System::from_fronts_scheme(&key.solo_cfg, &[profile], vec![front], &scheme, seed_salt);
         let ipc = sys.run().ipc(0);
         self.memo().insert(key, ipc);
         ipc
@@ -234,16 +228,24 @@ impl IsolationCache {
     }
 }
 
-/// Key of one record stream: the benchmark and the trace seed its
-/// generator runs at. A stream depends on nothing else — not the scheme,
-/// not the L2 — so every case of a sweep that runs the benchmark on that
-/// core, and every isolation run of it, reads the same stream.
+/// Key of one step stream: the benchmark and the trace seed its
+/// generator runs at, and the front end that filters it — the L1I and
+/// L1D shapes and the fetch width. A stream depends on nothing else —
+/// not the scheme, not the L2, not the other cores — so every case of a
+/// sweep that runs the benchmark on that core, and every isolation run
+/// of it, reads the same steps.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StreamKey {
     /// Benchmark name.
     pub benchmark: String,
     /// Trace seed ([`System::thread_seed`]).
     pub seed: u64,
+    /// L1 instruction cache shape.
+    pub l1i: CacheGeometry,
+    /// L1 data cache shape.
+    pub l1d: CacheGeometry,
+    /// Instructions per fetch line.
+    pub insts_per_fetch_line: u64,
 }
 
 impl StreamKey {
@@ -253,6 +255,9 @@ impl StreamKey {
         StreamKey {
             benchmark: benchmark.to_string(),
             seed: System::thread_seed(cfg, core, seed_salt),
+            l1i: cfg.l1i,
+            l1d: cfg.l1d,
+            insts_per_fetch_line: cfg.insts_per_fetch_line,
         }
     }
 
@@ -271,28 +276,31 @@ pub struct StreamStats {
     pub pinned: u64,
     /// Streams with a tape in memory.
     pub live: u64,
-    /// Encoded bytes the live tapes hold (about 2.3 per record).
+    /// Encoded bytes the live tapes hold (about 3.5 per step).
     pub resident_bytes: u64,
     /// The largest `resident_bytes` so far.
     pub peak_bytes: u64,
-    /// Records the tapes' generators produced.
+    /// Steps the tapes' own front ends made: the only records of a
+    /// pinned stream that reach a private L1.
     pub generated: u64,
-    /// Records replayed to simulations from the tapes.
+    /// Steps replayed to simulations from the tapes.
     pub served: u64,
 }
 
-/// The stream memo: one [`Tape`] per pinned [`StreamKey`], so the cases
-/// of a sweep that read the same stream synthesize it once.
+/// The stream memo: one step tape per pinned [`StreamKey`], so the
+/// cases of a sweep that read the same stream synthesize it and run it
+/// through the private L1s once.
 ///
 /// A tape lives exactly while some queued or running work will read it.
 /// Work [`pin`](StreamCache::pin)s its keys before it is queued and
 /// [`release`](StreamCache::release)s them when it ends; the first
-/// [`source`](StreamCache::source) of a pinned key creates the tape,
-/// and the last release drops it. An unpinned key gets a plain
-/// [`TraceGenerator`], as if there were no memo. Either way the source
-/// yields the same records, so the memo changes no result.
+/// [`front`](StreamCache::front) of a pinned key creates the tape,
+/// and the last release drops it. An unpinned key gets a live front end
+/// over a plain [`TraceGenerator`], as if there were no memo. Either way
+/// the core takes the same steps, so the memo changes no result.
 ///
 /// ```
+/// use cmpsim::front::Step;
 /// use cmpsim::{MachineConfig, StreamCache, StreamKey};
 ///
 /// let cfg = MachineConfig::paper_baseline(1);
@@ -300,9 +308,12 @@ pub struct StreamStats {
 /// let key = StreamKey::new(&cfg, 0, "gzip", 0);
 /// let gzip = tracegen::benchmark("gzip").unwrap();
 /// memo.pin(std::slice::from_ref(&key));
-/// let mut a = memo.source(&gzip, key.seed);
-/// let mut b = memo.source(&gzip, key.seed);
-/// assert_eq!(a.next_record(), b.next_record());
+/// let mut a = memo.front(&cfg, 0, &gzip, 0);
+/// let mut b = memo.front(&cfg, 0, &gzip, 0);
+/// let (mut sa, mut sb) = (Step::default(), Step::default());
+/// a.next_step(&mut sa);
+/// b.next_step(&mut sb);
+/// assert_eq!(sa, sb);
 /// drop((a, b));
 /// assert_eq!(memo.stats().live, 1);
 /// memo.release(std::slice::from_ref(&key));
@@ -318,7 +329,7 @@ pub struct StreamCache {
 #[derive(Debug)]
 struct Pinned {
     pins: usize,
-    tape: Option<Arc<Tape>>,
+    tape: Option<Arc<StepTape>>,
 }
 
 impl StreamCache {
@@ -359,40 +370,46 @@ impl StreamCache {
         drop(freed);
     }
 
-    /// A source of `profile`'s stream at trace seed `seed`: a reader of
-    /// the key's tape while the key is pinned, a fresh generator
-    /// otherwise.
-    pub fn source(&self, profile: &BenchmarkProfile, seed: u64) -> Box<dyn TraceSource> {
-        let key = StreamKey {
-            benchmark: profile.name.clone(),
-            seed,
-        };
+    /// Core `core`'s front end on `cfg` running `profile` under
+    /// `seed_salt`: a reader of the key's tape while the key is pinned,
+    /// a live front end over a fresh generator otherwise.
+    pub fn front(
+        &self,
+        cfg: &MachineConfig,
+        core: usize,
+        profile: &BenchmarkProfile,
+        seed_salt: u64,
+    ) -> Front {
+        let key = StreamKey::new(cfg, core, &profile.name, seed_salt);
         let tape = self.memo().get_mut(&key).map(|entry| {
             entry
                 .tape
                 .get_or_insert_with(|| {
-                    Arc::new(Tape::new(profile.clone(), seed, self.counters.clone()))
+                    Arc::new(StepTape::new(cfg, profile, key.seed, self.counters.clone()))
                 })
                 .clone()
         });
         match tape {
-            Some(tape) if tape.has_profile(profile) => Box::new(tape.reader()),
-            _ => Box::new(TraceGenerator::new(profile.clone(), seed)),
+            Some(tape) if tape.has_profile(profile) => Front::Taped(tape.reader(core)),
+            _ => {
+                let source = Box::new(TraceGenerator::new(profile.clone(), key.seed));
+                Front::live(core, profile, source, cfg)
+            }
         }
     }
 
-    /// One source per core of `cfg` running `profiles` under `seed_salt`
-    /// (see [`StreamCache::source`]).
-    pub fn sources(
+    /// One front end per core of `cfg` running `profiles` under
+    /// `seed_salt` (see [`StreamCache::front`]).
+    pub fn fronts(
         &self,
         cfg: &MachineConfig,
         profiles: &[BenchmarkProfile],
         seed_salt: u64,
-    ) -> Vec<Box<dyn TraceSource>> {
+    ) -> Vec<Front> {
         profiles
             .iter()
             .enumerate()
-            .map(|(i, p)| self.source(p, System::thread_seed(cfg, i, seed_salt)))
+            .map(|(i, p)| self.front(cfg, i, p, seed_salt))
             .collect()
     }
 

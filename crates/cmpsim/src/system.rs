@@ -1,9 +1,14 @@
 //! The full CMP system: cores + hierarchy + optional dynamic CPA.
+//!
+//! [`System::run`] is one loop over steps (see [`crate::front`]): the
+//! core with the smallest clock takes its next step from its front end,
+//! and the back end — the shared L2, the controller and the clocks —
+//! charges it.
 
 use crate::config::MachineConfig;
 use crate::core_model::CoreModel;
-use cachesim::hierarchy::{BatchScratch, Hierarchy, MemLevel};
-use cachesim::CacheStats;
+use crate::front::{Front, Step};
+use cachesim::{BatchStats, Cache, CacheConfig, CacheStats};
 use plru_core::{CpaController, Scheme};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -62,18 +67,20 @@ impl SimResult {
 /// A runnable CMP system.
 pub struct System {
     cfg: MachineConfig,
-    hierarchy: Hierarchy,
-    cores: Vec<CoreModel>,
+    /// The shared L2.
+    l2: Cache,
+    cores: Vec<CoreModel<Front>>,
+    /// Per-core L1 misses so far, `(fetch lines, data accesses)`: the
+    /// L2-bound parts of the core's steps.
+    l1_misses: Vec<(u64, u64)>,
     controller: Option<CpaController>,
     next_interval: u64,
     intervals: u64,
     /// Per-core L2 miss counts at the previous interval boundary (the
     /// controller's adaptive-scale feedback).
     last_misses: Vec<u64>,
-    /// Reusable instruction-fetch address buffer (one record's fetch group).
-    fetch_buf: Vec<u64>,
-    /// Reusable buffers for the batched L1I → L2 fetch path.
-    scratch: BatchScratch,
+    /// The step being charged, reused across steps.
+    step: Step,
 }
 
 impl System {
@@ -111,8 +118,9 @@ impl System {
 
     /// Build a system over explicit per-core [`TraceSource`]s — the
     /// extension point behind live synthesis, trace capture and trace
-    /// replay. `profiles` supply only the per-core timing model; the
-    /// memory-access streams come from `sources`.
+    /// replay. `profiles` supply only the per-core timing model and code
+    /// footprint; the memory-access streams come from `sources`, each
+    /// pulled one record per step through the core's own L1s.
     ///
     /// The [`Scheme`] carries the whole replacement/partitioning
     /// configuration; its construction already guaranteed that the CPA's
@@ -125,26 +133,43 @@ impl System {
         scheme: &Scheme,
         seed_salt: u64,
     ) -> Self {
-        assert_eq!(profiles.len(), cfg.num_cores, "one benchmark per core");
         assert_eq!(sources.len(), cfg.num_cores, "one trace source per core");
-        let mut hierarchy = Hierarchy::new(
-            cfg.num_cores,
-            cfg.l1i,
-            cfg.l1d,
-            cfg.l2,
-            scheme.policy(),
-            cfg.seed ^ seed_salt,
-        );
+        let fronts = profiles
+            .iter()
+            .zip(sources)
+            .enumerate()
+            .map(|(i, (p, source))| Front::live(i, p, source, cfg))
+            .collect();
+        Self::from_fronts_scheme(cfg, profiles, fronts, scheme, seed_salt)
+    }
+
+    /// Build a system over explicit per-core [`Front`]s: live front ends,
+    /// or readers of the stream memo's step tapes (see
+    /// [`StreamCache::fronts`](crate::StreamCache::fronts)).
+    pub fn from_fronts_scheme(
+        cfg: &MachineConfig,
+        profiles: &[BenchmarkProfile],
+        fronts: Vec<Front>,
+        scheme: &Scheme,
+        seed_salt: u64,
+    ) -> Self {
+        assert_eq!(profiles.len(), cfg.num_cores, "one benchmark per core");
+        assert_eq!(fronts.len(), cfg.num_cores, "one front end per core");
+        let mut l2 = Cache::new(CacheConfig {
+            geometry: cfg.l2,
+            policy: scheme.policy(),
+            num_cores: cfg.num_cores,
+            seed: cfg.seed ^ seed_salt,
+        });
         let controller = scheme.cpa().map(|c| {
             let ctl = CpaController::new(c.clone(), cfg.l2, cfg.num_cores);
-            hierarchy.l2.set_enforcement(ctl.initial_enforcement());
+            l2.set_enforcement(ctl.initial_enforcement());
             ctl
         });
         let cores = profiles
             .iter()
-            .zip(sources)
-            .enumerate()
-            .map(|(i, (p, source))| CoreModel::from_source(i, p, source, cfg.insts_per_fetch_line))
+            .zip(fronts)
+            .map(|(p, front)| CoreModel::with_front(p, front))
             .collect();
         let next_interval = controller
             .as_ref()
@@ -152,14 +177,14 @@ impl System {
             .unwrap_or(u64::MAX);
         System {
             last_misses: vec![0; cfg.num_cores],
+            l1_misses: vec![(0, 0); cfg.num_cores],
             cfg: cfg.clone(),
-            hierarchy,
+            l2,
             cores,
             controller,
             next_interval,
             intervals: 0,
-            fetch_buf: Vec::new(),
-            scratch: BatchScratch::new(),
+            step: Step::default(),
         }
     }
 
@@ -223,22 +248,16 @@ impl System {
         ))
     }
 
-    fn penalty(&self, level: MemLevel) -> u64 {
-        match level {
-            MemLevel::L1 => 0,
-            MemLevel::L2 => self.cfg.latencies.l1_miss,
-            MemLevel::Memory => self.cfg.latencies.l1_miss + self.cfg.latencies.l2_miss,
-        }
-    }
-
     /// Run to completion: every core commits `insts_target` instructions;
     /// finished cores keep executing (keeping contention realistic) until
     /// the last core freezes.
     pub fn run(&mut self) -> SimResult {
         let target = self.cfg.insts_target;
+        let lat = self.cfg.latencies;
         let n = self.cores.len();
         let mut frozen: Vec<Option<CoreResult>> = vec![None; n];
         let mut done = 0usize;
+        let step = &mut self.step;
 
         while done < n {
             // Advance the core with the smallest local clock: simulated
@@ -253,66 +272,64 @@ impl System {
                 if let Some(ctl) = &mut self.controller {
                     let misses: Vec<u64> = (0..n)
                         .map(|i| {
-                            let total = self.hierarchy.l2.stats().core(i).misses;
+                            let total = self.l2.stats().core(i).misses;
                             let delta = total - self.last_misses[i];
                             self.last_misses[i] = total;
                             delta
                         })
                         .collect();
                     let enforcement = ctl.on_interval_with_feedback(Some(&misses));
-                    self.hierarchy.l2.set_enforcement(enforcement);
+                    self.l2.set_enforcement(enforcement);
                     self.intervals += 1;
                     self.next_interval += ctl.interval_cycles();
                 }
             }
 
-            let rec = self.cores[c].next_record();
-            let insts = rec.instructions();
-            let mut latency = self.cores[c].charge_base(insts);
+            let core = &mut self.cores[c];
+            core.front.next_step(step);
+            let mut latency = core.charge_base(step.insts);
 
-            // Instruction fetches: the record's whole fetch group runs
-            // through the batched L1I → L2 kernel; per-level counts charge
-            // the same summed penalties as the scalar per-access walk.
-            self.cores[c].fetch_addrs_into(insts, &mut self.fetch_buf);
-            if !self.fetch_buf.is_empty() {
-                let levels =
-                    self.hierarchy
-                        .access_inst_batch(c, &self.fetch_buf, &mut self.scratch);
-                latency += levels.l2_accesses() * self.cfg.latencies.l1_miss
-                    + levels.memory * self.cfg.latencies.l2_miss;
+            // The fetch lines that missed the L1I run through the L2 as
+            // one batch; the ATDs observe them in stream order.
+            if !step.fetch.is_empty() {
+                let mut l2 = BatchStats::default();
+                self.l2.access_batch(&step.fetch, &mut l2);
+                latency += step.fetch.len() as u64 * lat.l1_miss + l2.misses * lat.l2_miss;
                 if let Some(ctl) = &mut self.controller {
-                    // The ATDs observe every fetch that left the L1, in
-                    // stream order — exactly as the scalar path did.
-                    for a in self.scratch.l2_accesses() {
+                    for a in &step.fetch {
                         ctl.observe(c, a.addr);
                     }
                 }
             }
 
-            // The data access.
-            let out = self.hierarchy.access_data(c, rec.addr, rec.is_write);
-            latency += self.penalty(out.level);
-            if out.level != MemLevel::L1 {
+            // The data access, if it missed the L1D.
+            if let Some((addr, write)) = step.data {
+                latency += lat.l1_miss;
+                if !self.l2.access(c, addr, write).hit {
+                    latency += lat.l2_miss;
+                }
                 if let Some(ctl) = &mut self.controller {
-                    ctl.observe(c, rec.addr);
+                    ctl.observe(c, addr);
                 }
             }
 
-            let core = &mut self.cores[c];
+            let misses = &mut self.l1_misses[c];
+            misses.0 += step.fetch.len() as u64;
+            misses.1 += u64::from(step.data.is_some());
             core.cycle += latency;
-            core.insts += insts;
+            core.insts += step.insts;
             if !core.finished() {
                 core.maybe_finish(target);
                 if core.finished() {
-                    let l2 = self.hierarchy.l2.stats().core(c);
+                    let l2 = self.l2.stats().core(c);
                     frozen[c] = Some(CoreResult {
                         insts: target,
                         cycles: core.finish_cycle.expect("just finished"),
                         ipc: core.ipc(target),
                         l2_accesses: l2.accesses,
                         l2_misses: l2.misses,
-                        l1d_misses: self.hierarchy.l1(c).dcache.stats().core(0).misses,
-                        l1i_misses: self.hierarchy.l1(c).icache.stats().core(0).misses,
+                        l1d_misses: misses.1,
+                        l1i_misses: misses.0,
                     });
                     done += 1;
                 }
@@ -333,7 +350,7 @@ impl System {
                 .as_ref()
                 .map(|c| c.allocation().to_vec())
                 .unwrap_or_default(),
-            l2_stats: self.hierarchy.l2.stats().clone(),
+            l2_stats: self.l2.stats().clone(),
             cores,
         }
     }

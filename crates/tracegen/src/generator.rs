@@ -13,10 +13,44 @@ pub const LINE_BYTES: u64 = 128;
 /// components never overlap; components with the same index share a base
 /// across phases, so phase changes partially reuse data (as SimPoint phases
 /// of a real benchmark do).
-pub(crate) const COMPONENT_SLOT_LINES: u64 = 1 << 28;
+const COMPONENT_SLOT_LINES: u64 = 1 << 28;
 
 /// Base line number of the streaming (Fresh) frontier.
-pub(crate) const FRESH_BASE_LINE: u64 = 1 << 40;
+const FRESH_BASE_LINE: u64 = 1 << 40;
+
+/// Component slots an [`addr_word`] can name (slot 0 names the frontier).
+const WORD_SLOTS: u64 = 16;
+
+/// A generator address packed into 32 bits: the top 4 name its region —
+/// 0 the streaming frontier, 1-15 a component slot — and the low 28 its
+/// line's offset there. `None` for any address the generator's layout
+/// does not place in a word: unaligned, outside every slot, or at least
+/// 2^28 lines past the frontier's base. [`word_addr`] inverts it.
+pub fn addr_word(addr: u64) -> Option<u32> {
+    if !addr.is_multiple_of(LINE_BYTES) {
+        return None;
+    }
+    let line = addr / LINE_BYTES;
+    let (slot, off) = match line.checked_sub(FRESH_BASE_LINE) {
+        Some(off) => (0, off),
+        None => (line / COMPONENT_SLOT_LINES, line % COMPONENT_SLOT_LINES),
+    };
+    let fits = off < COMPONENT_SLOT_LINES && (slot == 0) == (line >= FRESH_BASE_LINE);
+    (fits && slot < WORD_SLOTS).then(|| (slot * COMPONENT_SLOT_LINES + off) as u32)
+}
+
+/// The address an [`addr_word`] packed.
+#[inline]
+pub fn word_addr(word: u32) -> u64 {
+    let slot = u64::from(word) / COMPONENT_SLOT_LINES;
+    let off = u64::from(word) % COMPONENT_SLOT_LINES;
+    let base = if slot == 0 {
+        FRESH_BASE_LINE
+    } else {
+        slot * COMPONENT_SLOT_LINES
+    };
+    (base + off) * LINE_BYTES
+}
 
 /// Lines per tier of a [`TieredStack`].
 const TIER: usize = 256;
@@ -297,6 +331,39 @@ mod tests {
 
     fn gen(name: &str, seed: u64) -> TraceGenerator {
         TraceGenerator::new(benchmark(name).unwrap(), seed)
+    }
+
+    #[test]
+    fn every_generated_address_packs_into_a_word() {
+        for name in crate::benchmark_names() {
+            for r in gen(name, 3).take(20_000) {
+                let word = addr_word(r.addr).unwrap_or_else(|| panic!("{name}: {:#x}", r.addr));
+                assert_eq!(word_addr(word), r.addr, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn addresses_outside_the_layout_have_no_word() {
+        let line = |l: u64| l * LINE_BYTES;
+        for addr in [
+            1,
+            line(5),
+            line(WORD_SLOTS * COMPONENT_SLOT_LINES),
+            line(FRESH_BASE_LINE - 1),
+            line(FRESH_BASE_LINE + COMPONENT_SLOT_LINES),
+            u64::MAX,
+        ] {
+            assert_eq!(addr_word(addr), None, "{addr:#x}");
+        }
+        for addr in [
+            line(COMPONENT_SLOT_LINES),
+            line(FRESH_BASE_LINE),
+            line(FRESH_BASE_LINE + COMPONENT_SLOT_LINES - 1),
+            line(WORD_SLOTS * COMPONENT_SLOT_LINES - 1),
+        ] {
+            assert_eq!(addr_word(addr).map(word_addr), Some(addr), "{addr:#x}");
+        }
     }
 
     #[test]

@@ -49,14 +49,12 @@ pub mod dict;
 pub mod generator;
 pub mod io;
 pub mod record;
-pub mod tape;
 pub mod trace;
 pub mod workloads;
 
 pub use benchmark::{benchmark, benchmark_names, BenchmarkProfile, PhaseSpec};
 pub use component::{Component, Mixture};
-pub use generator::TraceGenerator;
+pub use generator::{addr_word, word_addr, TraceGenerator};
 pub use record::MemRecord;
-pub use tape::{Tape, TapeCounters, TapeReader};
 pub use trace::{TraceError, TraceInfo, TraceMeta, TraceSource};
 pub use workloads::{all_workloads, workload, workloads_with_threads, Workload};

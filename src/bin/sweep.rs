@@ -248,7 +248,7 @@ fn print_status(status: &service::DaemonStatus) {
     );
     let streams = &status.streams;
     println!(
-        "streams: {} live, {} pinned, {} B resident (peak {} B), {} records generated, {} served",
+        "streams: {} live, {} pinned, {} B resident (peak {} B), {} steps generated, {} served",
         streams.live,
         streams.pinned,
         streams.resident_bytes,

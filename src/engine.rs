@@ -244,15 +244,16 @@ impl SimEngine {
     }
 
     /// Build (but do not run) the system for an explicit benchmark list.
-    /// Records come from the stream memo of the engine's isolation
-    /// cache: tapes for streams a worker pool pinned, fresh generators
-    /// otherwise (see [`cmpsim::StreamCache`]).
+    /// Front ends come from the stream memo of the engine's isolation
+    /// cache: step tapes for streams a worker pool pinned, live front
+    /// ends over fresh generators otherwise (see
+    /// [`cmpsim::StreamCache`]).
     pub fn system_from_profiles(&self, profiles: &[BenchmarkProfile]) -> System {
-        let sources = self
+        let fronts = self
             .isolation
             .streams()
-            .sources(&self.cfg, profiles, self.seed_salt);
-        System::from_sources_scheme(&self.cfg, profiles, sources, &self.scheme, self.seed_salt)
+            .fronts(&self.cfg, profiles, self.seed_salt);
+        System::from_fronts_scheme(&self.cfg, profiles, fronts, &self.scheme, self.seed_salt)
     }
 
     /// Run one workload to completion.
@@ -508,6 +509,42 @@ mod tests {
         let y = b.isolation_ipc("gzip");
         assert_eq!(x, y);
         assert_eq!(shared.len(), 1, "second engine hit the shared memo");
+    }
+
+    #[test]
+    fn a_pinned_memo_keeps_streams_of_other_front_ends_apart() {
+        // A step stream depends on the L1 shapes and the fetch width as
+        // well as on the benchmark and trace seed: engines whose machines
+        // differ only there must each read their own steps from one memo.
+        let mut base = MachineConfig::paper_baseline(2);
+        base.insts_target = 20_000;
+        let mut small_l1d = base.clone();
+        small_l1d.l1d = cachesim::CacheGeometry::new(4 * 1024, 2, 128).unwrap();
+        let mut wide_fetch = base.clone();
+        wide_fetch.insts_per_fetch_line = 8;
+        let machines = [base, small_l1d, wide_fetch];
+        let wl = tracegen::workload("2T_02").unwrap();
+        let memo = Arc::new(IsolationCache::new());
+        for cfg in &machines {
+            let keys: Vec<cmpsim::StreamKey> = (wl.benchmarks.iter().enumerate())
+                .map(|(i, b)| cmpsim::StreamKey::new(cfg, i, b, 0))
+                .collect();
+            memo.streams().pin(&keys);
+        }
+        for cfg in &machines {
+            let plain = SimEngine::builder().machine(cfg.clone()).build().run(&wl);
+            let memo_run = SimEngine::builder()
+                .machine(cfg.clone())
+                .isolation(memo.clone())
+                .build()
+                .run(&wl);
+            assert_eq!(memo_run, plain, "{cfg:?}");
+        }
+        assert_eq!(
+            memo.streams().stats().live,
+            6,
+            "one tape per machine and core"
+        );
     }
 
     #[test]

@@ -111,10 +111,12 @@ impl ScenarioCase {
             .unwrap_or(ProfilerFidelity::Exact)
     }
 
-    /// The record streams the case reads: one per core (none for a
+    /// The step streams the case reads: one per core (none for a
     /// recorded case, which replays its container) and one per
-    /// isolation run. The worker pool pins them in the stream memo while
-    /// the case is queued or running.
+    /// isolation run, each keyed by the case machine's L1 shapes and
+    /// fetch width as well as its benchmark and trace seed. The worker
+    /// pool pins them in the stream memo while the case is queued or
+    /// running.
     pub fn stream_keys(&self) -> Vec<StreamKey> {
         let cfg = self.machine();
         let live_cores = if self.recorded.is_some() {
@@ -286,13 +288,13 @@ impl ScenarioSpec {
         for &size in &l2_sizes {
             for &assoc in &l2_assocs {
                 CacheGeometry::new(size, assoc, baseline.l2.line_bytes()).map_err(|e| {
-                    ScenarioError::new(format!("invalid L2 shape {size} B x {assoc}-way: {e:?}"))
+                    ScenarioError::new(format!("invalid L2 shape {size} B x {assoc}-way: {e}"))
                 })?;
                 let sets = (size / (baseline.l2.line_bytes() as u64 * assoc as u64)) as usize;
                 for scheme in &schemes {
                     scheme.policy().validate_assoc(assoc).map_err(|e| {
                         ScenarioError::new(format!(
-                            "scheme {} cannot run {assoc}-way: {e:?}",
+                            "scheme {} cannot run {assoc}-way: {e}",
                             scheme.acronym()
                         ))
                     })?;
@@ -475,6 +477,7 @@ mod tests {
         spec.l2_assocs = Some(vec![12]);
         let err = spec.expand().unwrap_err().to_string();
         assert!(err.contains("BT"), "{err}");
+        assert!(!err.contains('{'), "a message, not a Debug struct: {err}");
     }
 
     #[test]
@@ -483,6 +486,7 @@ mod tests {
         spec.l2_assocs = Some(vec![12]); // 2 MB is not divisible by 128 x 12
         let err = spec.expand().unwrap_err().to_string();
         assert!(err.contains("invalid L2 shape"), "{err}");
+        assert!(!err.contains('{'), "a message, not a Debug struct: {err}");
     }
 
     #[test]

@@ -24,12 +24,12 @@
 //!
 //! The pool also scopes the stream memo ([`cmpsim::StreamCache`], carried
 //! by the shared [`IsolationCache`]): [`WorkerPool::submit`] pins every
-//! record stream a case will read (its cores' and its isolation runs'),
+//! step stream a case will read (its cores' and its isolation runs'),
 //! and the case's outcome — completed, skipped or failed — releases
-//! them before it is posted. A stream is therefore synthesized once
-//! while any queued or running case needs it, and freed as soon as none
-//! does: once every submitted case's outcome is in, the memo holds
-//! nothing.
+//! them before it is posted. A stream is therefore synthesized and run
+//! through the private L1s once while any queued or running case needs
+//! it, and freed as soon as none does: once every submitted case's
+//! outcome is in, the memo holds nothing.
 //!
 //! Workers can optionally be pinned to cores (best-effort Linux
 //! `sched_setaffinity`; silently a no-op where unsupported) — useful for
