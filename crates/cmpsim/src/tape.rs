@@ -3,7 +3,7 @@
 //!
 //! A sweep runs the same per-core stream — one benchmark at one trace
 //! seed, behind the same L1 shapes — under every scheme and L2 size, and
-//! again in the isolation runs. A [`StepTape`] runs that stream's live
+//! again in the isolation runs. A `StepTape` runs that stream's live
 //! front end once, on demand and core-relative (as core 0), and keeps
 //! its steps in a fixed-width byte code; any number of [`StepReader`]s
 //! replay them for any core. A reader moves the addresses into its
@@ -342,7 +342,7 @@ impl fmt::Debug for StepTape {
     }
 }
 
-/// One core's replay of a [`StepTape`] from its first step.
+/// One core's replay of a stream's step tape from its first step.
 #[derive(Debug)]
 pub struct StepReader {
     tape: Arc<StepTape>,
@@ -504,10 +504,12 @@ mod tests {
                 2 => (1 << 35) + (i % 5) * 128, // a component slot
                 _ => (1 << 47) + (i % 3) * 128, // the streaming frontier
             };
-            let gap = match i % 5 {
-                0 => 100_000,
-                1 => 15 + (i % 3) as u32,
-                _ => (i % 15) as u32,
+            let gap = if i.is_multiple_of(499) {
+                100_000
+            } else if i % 5 == 1 {
+                15 + (i % 3) as u32
+            } else {
+                (i % 15) as u32
             };
             MemRecord {
                 gap,
