@@ -124,7 +124,7 @@ pub struct MemoStats {
 /// ```
 ///
 /// The cache also carries the [`StreamCache`] its solo runs and every
-/// engine sharing it read their records from.
+/// engine sharing it take their cores' front ends from.
 #[derive(Debug, Default)]
 pub struct IsolationCache {
     map: Mutex<HashMap<IsoKey, f64>>,
