@@ -3,13 +3,14 @@
 //! the software analogue of Table I(b)'s activity comparison — BT touches
 //! the fewest bits and should be the fastest to update.
 //!
-//! The `cache_access` and `cache_access_partitioned` groups drive the
-//! batched kernel ([`Cache::access_batch`]) over an 8192-access chunk —
-//! the way every simulation now reaches the cache — and are what
-//! `BENCH_*.json` baselines and the CI bench gate track. The
-//! `cache_access_scalar` group runs the same stream through the scalar
-//! [`Cache::access`] oracle to document the dispatch/plumbing overhead the
-//! batch amortizes.
+//! The `cache_access` and `cache_access_partitioned` groups drive
+//! [`Cache::access_batch`] over an 8192-access chunk (one policy dispatch
+//! per chunk) and are what `BENCH_*.json` baselines and the CI bench gate
+//! track. The `cache_access_scalar` group runs the same stream one
+//! [`Cache::access`] call at a time: the production single-access path
+//! the simulator takes for most of its accesses (the id keeps its
+//! historical name). Both groups run the same signature-plane kernel, so
+//! the gap between them is the per-call dispatch and plumbing.
 
 use cachesim::{Access, BatchStats, Cache, CacheConfig, CacheGeometry, PolicyKind, WayMask};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -1,7 +1,7 @@
 //! The composed cache: tags + replacement policy + partition enforcement +
 //! statistics.
 //!
-//! ## Hot-path layout and the batched kernel v2
+//! ## Hot-path layout and the access kernel
 //!
 //! Per-set state is stored as packed structure-of-arrays planes: a flat tag
 //! row per set, one valid-bit word per set, flat owner bytes, a packed
@@ -10,10 +10,9 @@
 //! words). Invalid-way fills come straight from the valid word's
 //! complement — no per-way branching anywhere.
 //!
-//! The scalar [`Cache::access`] is the *oracle*: a plain per-way compare
-//! over the set's tag row, kept deliberately simple as the correctness
-//! reference. The batched [`Cache::access_batch`] runs the **kernel v2**
-//! instead, which is property-tested bit-identical to the oracle:
+//! Every access runs one per-access kernel (kernel v2), whether it
+//! arrives alone through [`Cache::access`] or in a slice through
+//! [`Cache::access_batch`]:
 //!
 //! * **SWAR multi-way probe** — each way's tag is summarized by an 8-bit
 //!   multiplicative signature; a set packs them eight-per-u64. One XOR
@@ -23,20 +22,24 @@
 //!   ways (usually exactly the hit way) are verified against the full tag.
 //!   For the paper's 16-way L2 this replaces a 128-byte row scan with two
 //!   u64 lane words — an 8× cut in probe traffic.
-//! * **Software-pipelined batch loop** — the set-index/tag/signature
-//!   decomposition for a window of upcoming accesses runs ahead of their
-//!   probes, so the pure address arithmetic of access *i+k* overlaps the
-//!   probe and policy update of access *i* instead of serializing with it.
-//! * **Per-chunk prologue** — enforcement static masks, candidate masks
-//!   and BT vectors are pre-resolved into an `EnforcePlan` when the
-//!   enforcement is installed, so the inner loop reads plain arrays
-//!   instead of re-matching the enforcement enum per access.
+//! * **Pre-resolved enforcement** — enforcement static masks, candidate
+//!   masks and BT vectors are pre-resolved into an `EnforcePlan` when the
+//!   enforcement is installed, so the kernel reads plain arrays instead
+//!   of re-matching the enforcement enum per access.
 //!
-//! The batch entry point also dispatches on the policy enum once per
-//! *batch* instead of once per access. Because the v2 kernel preserves the
-//! oracle's tie-breaks exactly (lowest matching valid way, lowest invalid
-//! way), batched statistics are bit-identical to the scalar loop (and
-//! property-tested to stay that way, including signature false positives).
+//! Both entry points dispatch on the policy enum once per call, so a
+//! batch pays one dispatch for its whole slice. In the simulator single
+//! accesses dominate: on the Figure 8 sweep at 100k instructions per
+//! thread, 94.6% of L2 accesses are L1D misses through `Cache::access`,
+//! and all but a handful of the instruction-fetch batches hold one line.
+//!
+//! The per-way tag-row scan survives only as the reference the
+//! differential property suites compare the kernel against
+//! ([`Cache::access_reference`], hidden from the docs). It reads the
+//! [`Enforcement`] enum directly instead of the plan, and the kernel keeps
+//! its tie-breaks exactly (lowest matching valid way, lowest invalid way),
+//! so outcomes, statistics and contents are bit-identical to it
+//! (property-tested, including signature false positives).
 
 use crate::addr::{Addr, LineAddr};
 use crate::enforcement::Enforcement;
@@ -104,8 +107,8 @@ impl Access {
 }
 
 /// Aggregate outcome of one [`Cache::access_batch`] call. The same events
-/// are also folded into the cache's per-core [`CacheStats`], exactly as the
-/// scalar path would have recorded them; this struct is the cheap
+/// are also folded into the cache's per-core [`CacheStats`], exactly as
+/// [`Cache::access`] would have recorded them; this struct is the cheap
 /// batch-local summary callers use for timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
@@ -178,11 +181,10 @@ fn write_sig(plane: &mut [u64], stride: usize, set: usize, way: usize, sig: u8) 
     *word = (*word & !(0xFFu64 << shift)) | (u64::from(sig) << shift);
 }
 
-/// Enforcement pre-resolved into per-core lookup tables: the batched
-/// kernel's per-chunk prologue. Built once when an enforcement is
-/// installed (not per batch, and certainly not per access), so the v2
-/// inner loop reads plain arrays instead of matching the [`Enforcement`]
-/// enum and chasing its `Vec`s for every access.
+/// Enforcement pre-resolved into per-core lookup tables for the access
+/// kernel. Built once when an enforcement is installed (not per access),
+/// so the kernel reads plain arrays instead of matching the
+/// [`Enforcement`] enum and chasing its `Vec`s for every access.
 #[derive(Debug, Clone)]
 struct EnforcePlan {
     /// NRU saturation scope per core: the static mask, or the full mask
@@ -249,9 +251,10 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Packed 8-bit tag signatures, [`sig_words_per_set`] u64 words per
     /// set: byte `w % 8` of word `set * stride + w / 8` is
-    /// `sig_of(tags[set * assoc + w])`. Maintained on every fill (both
-    /// kernels); consulted only by the batched SWAR probe and — like the
-    /// tag row — meaningful only where the valid bit is set.
+    /// `sig_of(tags[set * assoc + w])`. Maintained on every fill (by the
+    /// kernel and the reference scan alike); consulted only by the
+    /// kernel's SWAR probe and — like the tag row — meaningful only where
+    /// the valid bit is set.
     sig: Vec<u64>,
     /// One packed valid-bit word per set (bit `w` = way `w`).
     valid: Vec<u32>,
@@ -261,7 +264,7 @@ pub struct Cache {
     /// `owner_count[set * num_cores + core]` = lines of `core` in `set`.
     owner_count: Vec<u8>,
     enforcement: Enforcement,
-    /// [`Enforcement`] pre-resolved for the batched kernel; rebuilt by
+    /// [`Enforcement`] pre-resolved for the access kernel; rebuilt by
     /// [`Cache::try_set_enforcement`].
     plan: EnforcePlan,
     stats: CacheStats,
@@ -284,10 +287,10 @@ struct Planes<'a> {
     stats: &'a mut CacheStats,
 }
 
-/// Shared tail of both kernels' miss path: ownership bookkeeping, the
-/// tag/valid/owner/signature plane writes, the policy touch and the stats
-/// record. `evicted` must already carry the victim's *old* line and owner
-/// (read before this overwrites the way).
+/// Shared tail of the kernel's and the reference scan's miss path:
+/// ownership bookkeeping, the tag/valid/owner/signature plane writes, the
+/// policy touch and the stats record. `evicted` must already carry the
+/// victim's *old* line and owner (read before this overwrites the way).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // hot-path tail; every arg is already in registers
 fn finish_miss<P: ReplKernel>(
@@ -325,10 +328,148 @@ fn finish_miss<P: ReplKernel>(
     }
 }
 
-/// One access against the packed planes: the single kernel both the scalar
-/// and the batched entry points run.
+/// One access through the kernel: SWAR signature compare over the packed
+/// signature plane plus the pre-resolved `EnforcePlan`. Bit-identical to
+/// the reference [`scan_access`] by construction — same lowest-way
+/// tie-breaks on hits and invalid fills, same victim masks on evictions —
+/// and property-tested to stay that way.
 #[inline(always)]
 fn access_one<P: ReplKernel>(
+    planes: &mut Planes<'_>,
+    policy: &mut P,
+    core: usize,
+    addr: Addr,
+    write: bool,
+) -> AccessOutcome {
+    let assoc = planes.geom.assoc();
+    let set = planes.geom.set_index(addr);
+    let tag = planes.geom.tag(addr);
+    // The probe signature, broadcast to every byte lane.
+    let bcast = u64::from(sig_of(tag)) * LANE_LO;
+    let base = set * assoc;
+    let valid = planes.valid[set];
+    let full = WayMask::full(assoc);
+    let plan = planes.plan;
+
+    // SWAR probe: XOR each signature lane word against the broadcast probe
+    // signature; zero lanes mark candidate ways. Usually zero (miss) or
+    // one (the hit way) bit survives the valid qualification.
+    let sbase = set * planes.sig_stride;
+    let mut cand = 0u32;
+    for (i, &word) in planes.sig[sbase..sbase + planes.sig_stride]
+        .iter()
+        .enumerate()
+    {
+        cand |= zero_byte_lanes(word ^ bcast) << (SIG_LANES * i);
+    }
+    cand &= valid;
+
+    // Verify candidates in ascending way order against the full tag row —
+    // the same lowest-matching-way tie-break as the reference row scan.
+    // Signature false positives (spurious zero-lane markers or genuine
+    // 8-bit collisions) fall out here at the cost of one extra compare.
+    while cand != 0 {
+        let way = cand.trailing_zeros() as usize;
+        if planes.tags[base + way] == tag {
+            policy.touch(set, way, plan.scopes[core]);
+            planes.stats.record(core, true, write);
+            return AccessOutcome {
+                hit: true,
+                set,
+                way,
+                evicted: None,
+            };
+        }
+        cand &= cand - 1;
+    }
+
+    // Miss: invalid-way fill first, then a policy victim — reading the
+    // candidate masks straight from the plan instead of re-matching the
+    // enforcement enum.
+    let (way, evicted) = if plan.counters {
+        // Owner-counter candidates only ever cover valid lines, so the
+        // invalid-fill probe runs over the whole set (the reference's
+        // widened-mask path) and the owner scan is skipped entirely when
+        // an invalid way exists.
+        let invalid = !valid & full.0;
+        if invalid != 0 {
+            (invalid.trailing_zeros() as usize, None)
+        } else {
+            let mut own = 0u32;
+            for w in WayMask(valid).iter() {
+                own |= u32::from(usize::from(planes.owner[base + w]) == core) << w;
+            }
+            let others = valid & !own;
+            let under_quota =
+                usize::from(planes.owner_count[set * planes.num_cores + core]) < plan.quotas[core];
+            let mask = if under_quota && others != 0 {
+                WayMask(others)
+            } else if own != 0 {
+                WayMask(own)
+            } else {
+                full
+            };
+            let way = policy.pick(set, mask, None);
+            let old_owner = planes.owner[base + way];
+            let old_line = planes.geom.line_of(set, planes.tags[base + way]);
+            (way, Some((old_line, old_owner)))
+        }
+    } else {
+        let candidates = plan.cands[core];
+        let invalid = !valid & full.0 & candidates.0;
+        if invalid != 0 {
+            (invalid.trailing_zeros() as usize, None)
+        } else {
+            let way = policy.pick(set, candidates, plan.vectors[core]);
+            let old_owner = planes.owner[base + way];
+            let old_line = planes.geom.line_of(set, planes.tags[base + way]);
+            (way, Some((old_line, old_owner)))
+        }
+    };
+
+    finish_miss(
+        planes,
+        policy,
+        core,
+        set,
+        tag,
+        way,
+        evicted,
+        plan.scopes[core],
+        write,
+    )
+}
+
+/// The monomorphized batch loop: one policy dispatch for the whole
+/// slice, then [`access_one`] per access, folded into `batch`.
+fn run_batch<P: ReplKernel>(
+    planes: &mut Planes<'_>,
+    policy: &mut P,
+    accesses: &[Access],
+    batch: &mut BatchStats,
+) {
+    for a in accesses {
+        let core = usize::from(a.core);
+        let out = access_one(planes, policy, core, a.addr, a.write);
+        batch.accesses += 1;
+        if out.hit {
+            batch.hits += 1;
+        } else {
+            batch.misses += 1;
+        }
+        if let Some((_, old_owner)) = out.evicted {
+            batch.evictions += 1;
+            batch.cross_evictions += u64::from(usize::from(old_owner) != core);
+        }
+    }
+}
+
+/// The reference kernel: a plain per-way compare over the set's tag row,
+/// with the victim candidates matched straight off the [`Enforcement`]
+/// enum. The simulator never runs it; the differential property suites
+/// drive it through [`Cache::access_reference`] as the oracle
+/// [`access_one`] must match bit for bit.
+fn scan_access<P: ReplKernel>(
     planes: &mut Planes<'_>,
     policy: &mut P,
     core: usize,
@@ -420,184 +561,6 @@ fn access_one<P: ReplKernel>(
     finish_miss(planes, policy, core, set, tag, way, evicted, scope, write)
 }
 
-/// One access through the **kernel v2** probe: SWAR signature compare over
-/// the packed signature plane plus the pre-resolved `EnforcePlan`.
-/// Bit-identical to [`access_one`] by construction — same lowest-way
-/// tie-breaks on hits and invalid fills, same victim masks on evictions —
-/// and property-tested to stay that way.
-///
-/// `set`, `tag` and `bcast` (the probe signature broadcast to every byte
-/// lane) come pre-decoded from the batch loop's pipeline window.
-#[inline(always)]
-fn access_one_v2<P: ReplKernel>(
-    planes: &mut Planes<'_>,
-    policy: &mut P,
-    core: usize,
-    set: usize,
-    tag: u64,
-    bcast: u64,
-    write: bool,
-) -> AccessOutcome {
-    let assoc = planes.geom.assoc();
-    let base = set * assoc;
-    let valid = planes.valid[set];
-    let full = WayMask::full(assoc);
-    let plan = planes.plan;
-
-    // SWAR probe: XOR each signature lane word against the broadcast probe
-    // signature; zero lanes mark candidate ways. Usually zero (miss) or
-    // one (the hit way) bit survives the valid qualification.
-    let sbase = set * planes.sig_stride;
-    let mut cand = 0u32;
-    for (i, &word) in planes.sig[sbase..sbase + planes.sig_stride]
-        .iter()
-        .enumerate()
-    {
-        cand |= zero_byte_lanes(word ^ bcast) << (SIG_LANES * i);
-    }
-    cand &= valid;
-
-    // Verify candidates in ascending way order against the full tag row —
-    // the same lowest-matching-way tie-break as the oracle's row scan.
-    // Signature false positives (spurious zero-lane markers or genuine
-    // 8-bit collisions) fall out here at the cost of one extra compare.
-    while cand != 0 {
-        let way = cand.trailing_zeros() as usize;
-        if planes.tags[base + way] == tag {
-            policy.touch(set, way, plan.scopes[core]);
-            planes.stats.record(core, true, write);
-            return AccessOutcome {
-                hit: true,
-                set,
-                way,
-                evicted: None,
-            };
-        }
-        cand &= cand - 1;
-    }
-
-    // Miss: invalid-way fill first, then a policy victim — reading the
-    // candidate masks straight from the plan instead of re-matching the
-    // enforcement enum.
-    let (way, evicted) = if plan.counters {
-        // Owner-counter candidates only ever cover valid lines, so the
-        // invalid-fill probe runs over the whole set (the oracle's
-        // widened-mask path) and the owner scan is skipped entirely when
-        // an invalid way exists.
-        let invalid = !valid & full.0;
-        if invalid != 0 {
-            (invalid.trailing_zeros() as usize, None)
-        } else {
-            let mut own = 0u32;
-            for w in WayMask(valid).iter() {
-                own |= u32::from(usize::from(planes.owner[base + w]) == core) << w;
-            }
-            let others = valid & !own;
-            let under_quota =
-                usize::from(planes.owner_count[set * planes.num_cores + core]) < plan.quotas[core];
-            let mask = if under_quota && others != 0 {
-                WayMask(others)
-            } else if own != 0 {
-                WayMask(own)
-            } else {
-                full
-            };
-            let way = policy.pick(set, mask, None);
-            let old_owner = planes.owner[base + way];
-            let old_line = planes.geom.line_of(set, planes.tags[base + way]);
-            (way, Some((old_line, old_owner)))
-        }
-    } else {
-        let candidates = plan.cands[core];
-        let invalid = !valid & full.0 & candidates.0;
-        if invalid != 0 {
-            (invalid.trailing_zeros() as usize, None)
-        } else {
-            let way = policy.pick(set, candidates, plan.vectors[core]);
-            let old_owner = planes.owner[base + way];
-            let old_line = planes.geom.line_of(set, planes.tags[base + way]);
-            (way, Some((old_line, old_owner)))
-        }
-    };
-
-    finish_miss(
-        planes,
-        policy,
-        core,
-        set,
-        tag,
-        way,
-        evicted,
-        plan.scopes[core],
-        write,
-    )
-}
-
-/// Accesses decoded ahead of their probes per pipeline window. Small
-/// enough that the decoded arrays live in registers/L1; measured fastest
-/// at 32 on the reference host (8 and 64 were both a few percent slower).
-const PIPE_WINDOW: usize = 32;
-
-/// The monomorphized batch loop: one policy dispatch amortized over the
-/// whole access slice, software-pipelined through [`access_one_v2`].
-/// Optionally collects the missing accesses (the hierarchy forwards
-/// exactly those to the next level).
-///
-/// Stage 1 decodes a [`PIPE_WINDOW`]-deep window — set index, tag and the
-/// broadcast probe signature per access — into stack arrays; stage 2 runs
-/// the probes against the decoded window. The address arithmetic of
-/// upcoming accesses thus overlaps the probe/policy-update of in-flight
-/// ones instead of serializing with them, without data-dependent stalls in
-/// the decode loop. (Explicit `_mm_prefetch` hints in stage 1 were tried
-/// and measured *slower* than the plain decode on the reference host, so
-/// the window carries no prefetches.)
-fn run_batch<P: ReplKernel>(
-    planes: &mut Planes<'_>,
-    policy: &mut P,
-    accesses: &[Access],
-    batch: &mut BatchStats,
-    mut misses: Option<&mut Vec<Access>>,
-) {
-    let mut sets = [0u32; PIPE_WINDOW];
-    let mut tags = [0u64; PIPE_WINDOW];
-    let mut bcasts = [0u64; PIPE_WINDOW];
-
-    for window in accesses.chunks(PIPE_WINDOW) {
-        // Stage 1: decode the whole window.
-        for (i, a) in window.iter().enumerate() {
-            let tag = planes.geom.tag(a.addr);
-            sets[i] = planes.geom.set_index(a.addr) as u32;
-            tags[i] = tag;
-            bcasts[i] = u64::from(sig_of(tag)) * LANE_LO;
-        }
-        // Stage 2: probe + update against the decoded window.
-        for (i, &a) in window.iter().enumerate() {
-            let out = access_one_v2(
-                planes,
-                policy,
-                usize::from(a.core),
-                sets[i] as usize,
-                tags[i],
-                bcasts[i],
-                a.write,
-            );
-            batch.accesses += 1;
-            if out.hit {
-                batch.hits += 1;
-            } else {
-                batch.misses += 1;
-                if let Some(sink) = misses.as_deref_mut() {
-                    sink.push(a);
-                }
-            }
-            if let Some((_, old_owner)) = out.evicted {
-                batch.evictions += 1;
-                batch.cross_evictions += u64::from(usize::from(old_owner) != usize::from(a.core));
-            }
-        }
-    }
-}
-
 impl Cache {
     /// Build an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
@@ -684,7 +647,7 @@ impl Cache {
     }
 
     /// Install a new enforcement configuration (validated), pre-resolving
-    /// it into the batched kernel's `EnforcePlan`.
+    /// it into the access kernel's `EnforcePlan`.
     pub fn try_set_enforcement(&mut self, e: Enforcement) -> Result<(), CacheError> {
         e.validate(self.geom.assoc(), self.num_cores)?;
         self.plan = EnforcePlan::new(&e, self.geom.assoc(), self.num_cores);
@@ -756,11 +719,10 @@ impl Cache {
     /// Access `addr` from `core`. Updates replacement state, ownership and
     /// statistics; on a miss, fills the line (evicting if needed).
     ///
-    /// This is the scalar oracle: a plain per-way tag-row scan paying one
-    /// policy dispatch per access, kept deliberately simple as the
-    /// correctness reference the v2 batch kernel is property-tested
-    /// against ([`Cache::access_batch`] must be bit-identical to a scalar
-    /// loop over the same slice).
+    /// One policy dispatch, then the signature-plane kernel that
+    /// [`Cache::access_batch`] runs per access. This is how the simulator
+    /// reaches its caches most of the time: every L1D access, every L1I
+    /// fetch line and every L1D miss into the shared L2.
     pub fn access(&mut self, core: usize, addr: Addr, write: bool) -> AccessOutcome {
         let (policy, mut planes) = self.split();
         match policy {
@@ -772,14 +734,30 @@ impl Cache {
         }
     }
 
-    /// Process a whole access slice through the monomorphized, software-
-    /// pipelined **kernel v2** (SWAR signature probe, decode window,
-    /// pre-resolved enforcement plan), folding a summary into `batch`.
+    /// [`Cache::access`] through the reference per-way tag-row scan
+    /// instead of the signature-plane kernel. The differential property
+    /// suites call it as the oracle the kernel must match bit for bit;
+    /// nothing in the simulator does.
+    #[doc(hidden)]
+    pub fn access_reference(&mut self, core: usize, addr: Addr, write: bool) -> AccessOutcome {
+        let (policy, mut planes) = self.split();
+        match policy {
+            PolicyState::Lru(p) => scan_access(&mut planes, p, core, addr, write),
+            PolicyState::Nru(p) => scan_access(&mut planes, p, core, addr, write),
+            PolicyState::Bt(p) => scan_access(&mut planes, p, core, addr, write),
+            PolicyState::Random(p) => scan_access(&mut planes, p, core, addr, write),
+            PolicyState::Fifo(p) => scan_access(&mut planes, p, core, addr, write),
+        }
+    }
+
+    /// Process a whole access slice through the same kernel as
+    /// [`Cache::access`], folding a summary into `batch`.
     ///
-    /// Per-core [`CacheStats`] end up bit-identical to calling
-    /// [`Cache::access`] in a loop over the same slice; the batch amortizes
-    /// the policy dispatch and replaces the per-way tag-row scan with the
-    /// lane-packed signature probe instead of changing semantics.
+    /// The policy dispatch happens once per call instead of once per
+    /// access; per-core [`CacheStats`] end up bit-identical to calling
+    /// [`Cache::access`] in a loop over the same slice. The simulator
+    /// hands the shared L2 each record's L1I misses this way, which is
+    /// one line almost every time.
     ///
     /// ```
     /// use cachesim::{Access, BatchStats, Cache, CacheConfig, CacheGeometry, PolicyKind};
@@ -803,30 +781,11 @@ impl Cache {
     pub fn access_batch(&mut self, accesses: &[Access], batch: &mut BatchStats) {
         let (policy, mut planes) = self.split();
         match policy {
-            PolicyState::Lru(p) => run_batch(&mut planes, p, accesses, batch, None),
-            PolicyState::Nru(p) => run_batch(&mut planes, p, accesses, batch, None),
-            PolicyState::Bt(p) => run_batch(&mut planes, p, accesses, batch, None),
-            PolicyState::Random(p) => run_batch(&mut planes, p, accesses, batch, None),
-            PolicyState::Fifo(p) => run_batch(&mut planes, p, accesses, batch, None),
-        }
-    }
-
-    /// Like [`Cache::access_batch`], additionally appending every *missing*
-    /// access to `misses` in stream order — the hierarchy forwards exactly
-    /// those to the next level.
-    pub fn access_batch_collecting(
-        &mut self,
-        accesses: &[Access],
-        batch: &mut BatchStats,
-        misses: &mut Vec<Access>,
-    ) {
-        let (policy, mut planes) = self.split();
-        match policy {
-            PolicyState::Lru(p) => run_batch(&mut planes, p, accesses, batch, Some(misses)),
-            PolicyState::Nru(p) => run_batch(&mut planes, p, accesses, batch, Some(misses)),
-            PolicyState::Bt(p) => run_batch(&mut planes, p, accesses, batch, Some(misses)),
-            PolicyState::Random(p) => run_batch(&mut planes, p, accesses, batch, Some(misses)),
-            PolicyState::Fifo(p) => run_batch(&mut planes, p, accesses, batch, Some(misses)),
+            PolicyState::Lru(p) => run_batch(&mut planes, p, accesses, batch),
+            PolicyState::Nru(p) => run_batch(&mut planes, p, accesses, batch),
+            PolicyState::Bt(p) => run_batch(&mut planes, p, accesses, batch),
+            PolicyState::Random(p) => run_batch(&mut planes, p, accesses, batch),
+            PolicyState::Fifo(p) => run_batch(&mut planes, p, accesses, batch),
         }
     }
 }

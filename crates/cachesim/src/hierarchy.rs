@@ -55,28 +55,16 @@ impl L1Pair {
         }
     }
 
-    /// Fetch `addrs` through the L1I with the batch kernel, appending
-    /// the lines that missed — as reads by `core`, in stream order — to
-    /// `misses`. `batch` is scratch space. Returns the L1I's counts.
-    pub fn fetch(
-        &mut self,
-        core: usize,
-        addrs: &[Addr],
-        batch: &mut Vec<Access>,
-        misses: &mut Vec<Access>,
-    ) -> BatchStats {
-        batch.clear();
-        batch.extend(addrs.iter().map(|&a| Access::read(0, a)));
-        let from = misses.len();
-        let mut stats = BatchStats::default();
-        self.icache
-            .access_batch_collecting(batch, &mut stats, misses);
-        // The L1I is a one-core cache (core id 0); the shared L2 needs
-        // the real issuing core.
-        for a in &mut misses[from..] {
-            a.core = core as u8;
+    /// Fetch `addrs` through the L1I, appending the lines that missed —
+    /// as reads by `core`, in stream order — to `misses`.
+    pub fn fetch(&mut self, core: usize, addrs: &[Addr], misses: &mut Vec<Access>) {
+        for &a in addrs {
+            // The L1I is a one-core cache (core id 0); the shared L2
+            // needs the real issuing core.
+            if !self.icache.access(0, a, false).hit {
+                misses.push(Access::read(core, a));
+            }
         }
-        stats
     }
 
     /// A data access through the L1D; `true` on a hit.
@@ -106,11 +94,10 @@ impl BatchLevels {
     }
 }
 
-/// Reusable scratch buffers for [`Hierarchy::access_inst_batch`]: the
+/// Reusable scratch buffer for [`Hierarchy::access_inst_batch`]: the
 /// caller keeps one of these alive so batching never allocates per record.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    l1_batch: Vec<Access>,
     l1_misses: Vec<Access>,
 }
 
@@ -189,8 +176,8 @@ impl Hierarchy {
     }
 
     /// Batched instruction fetch from `core`: all `addrs` run through the
-    /// private L1I via the batch kernel, and the L1 misses are forwarded —
-    /// still in stream order — to the shared L2 as one batch.
+    /// private L1I, and the L1 misses are forwarded — still in stream
+    /// order — to the shared L2 as one batch.
     ///
     /// Behaviour (cache contents, policy state, statistics) is identical
     /// to calling [`Hierarchy::access_inst`] per address: within one batch
@@ -205,11 +192,11 @@ impl Hierarchy {
         scratch: &mut BatchScratch,
     ) -> BatchLevels {
         scratch.l1_misses.clear();
-        let l1 = self.l1[core].fetch(core, addrs, &mut scratch.l1_batch, &mut scratch.l1_misses);
+        self.l1[core].fetch(core, addrs, &mut scratch.l1_misses);
         let mut l2 = BatchStats::default();
         self.l2.access_batch(&scratch.l1_misses, &mut l2);
         BatchLevels {
-            l1_hits: l1.hits,
+            l1_hits: (addrs.len() - scratch.l1_misses.len()) as u64,
             l2_hits: l2.hits,
             memory: l2.misses,
         }

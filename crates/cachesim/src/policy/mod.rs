@@ -179,12 +179,13 @@ impl PolicyState {
 /// The monomorphic face of a replacement policy, as seen by the cache's
 /// access kernel.
 ///
-/// [`Cache::access_batch`](crate::Cache::access_batch) dispatches on
-/// [`PolicyState`] **once per batch** and then runs a fully monomorphized
-/// per-access loop against one of these implementations, so the per-access
-/// cost is a direct inlined call instead of an enum match. The scalar
-/// [`Cache::access`](crate::Cache::access) goes through the same kernel,
-/// which is what makes the batched path bit-identical by construction.
+/// [`Cache::access`](crate::Cache::access) and
+/// [`Cache::access_batch`](crate::Cache::access_batch) dispatch on
+/// [`PolicyState`] **once per call** and then run the monomorphized
+/// per-access kernel against one of these implementations, so inside the
+/// kernel a policy update is a direct inlined call instead of an enum
+/// match. Both entry points run the same kernel, which is what makes the
+/// batched path bit-identical to single accesses by construction.
 pub(crate) trait ReplKernel {
     /// Record an access (hit or fill) to `way` of `set` under `scope`
     /// (only NRU's saturation rule consults the scope).

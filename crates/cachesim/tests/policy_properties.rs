@@ -1,5 +1,6 @@
 //! Property-based tests of the replacement-policy state machines, and of
-//! the batched access kernel against the scalar oracle.
+//! the signature-plane access kernel — one access at a time and in
+//! batches — against the reference per-way tag-row scan.
 
 use cachesim::policy::{Bt, BtVectors, Fifo, Lru, Nru};
 use cachesim::{
@@ -241,13 +242,78 @@ fn enforcement_for(choice: usize, policy: PolicyKind) -> Enforcement {
     }
 }
 
+/// Drive `stream` through three caches built by `fresh`: the reference
+/// row scan ([`Cache::access_reference`]) one access at a time, the
+/// kernel one [`Cache::access`] at a time, and the kernel in
+/// `chunk`-sized [`Cache::access_batch`] pieces. Each cache first runs
+/// `warm` through its own path and is then reset, which leaves stale tag
+/// and signature planes behind (a no-op for an empty `warm`).
+///
+/// Every single-access outcome (hit, set, way, evicted line and owner)
+/// must equal the reference's; all three caches must end with identical
+/// statistics and contents, and the batch summary must agree with the
+/// reference's event counts.
+fn assert_kernel_matches_reference(
+    fresh: impl Fn() -> Cache,
+    warm: &[Access],
+    stream: &[Access],
+    chunk: usize,
+) -> Result<(), TestCaseError> {
+    let (mut reference, mut single, mut batched) = (fresh(), fresh(), fresh());
+    let mut scratch = BatchStats::default();
+    for a in warm {
+        reference.access_reference(usize::from(a.core), a.addr, a.write);
+        single.access(usize::from(a.core), a.addr, a.write);
+    }
+    batched.access_batch(warm, &mut scratch);
+    for c in [&mut reference, &mut single, &mut batched] {
+        c.reset();
+    }
+
+    let mut ref_hits = 0u64;
+    let mut ref_evictions = 0u64;
+    for (i, a) in stream.iter().enumerate() {
+        let core = usize::from(a.core);
+        let want = reference.access_reference(core, a.addr, a.write);
+        let got = single.access(core, a.addr, a.write);
+        prop_assert_eq!(got, want, "access {} to {:#x} diverged", i, a.addr);
+        ref_hits += u64::from(want.hit);
+        ref_evictions += u64::from(want.evicted.is_some());
+    }
+    let mut batch = BatchStats::default();
+    for piece in stream.chunks(chunk.max(1)) {
+        batched.access_batch(piece, &mut batch);
+    }
+
+    // Statistics are bit-identical.
+    prop_assert_eq!(reference.stats(), single.stats());
+    prop_assert_eq!(reference.stats(), batched.stats());
+    // The batch summary agrees with the reference's event counts.
+    prop_assert_eq!(batch.accesses, stream.len() as u64);
+    prop_assert_eq!(batch.hits, ref_hits);
+    prop_assert_eq!(batch.misses, stream.len() as u64 - ref_hits);
+    prop_assert_eq!(batch.evictions, ref_evictions);
+    prop_assert_eq!(
+        batch.cross_evictions,
+        reference.stats().total().cross_evictions
+    );
+    // And the contents converged to the same lines.
+    for a in stream {
+        let want = reference.probe(a.addr);
+        prop_assert_eq!(single.probe(a.addr), want, "addr {:#x}", a.addr);
+        prop_assert_eq!(batched.probe(a.addr), want, "addr {:#x}", a.addr);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `Cache::access_batch` is bit-identical to the scalar `Cache::access`
-    /// loop — per-core hit/miss/write/cross-eviction statistics, the batch
-    /// summary, and the resulting cache contents all match — for every
-    /// policy, with and without partition masks, at any batch boundary.
+    /// The kernel — through `Cache::access` and `Cache::access_batch` at
+    /// any batch boundary — is bit-identical to the reference row scan:
+    /// per-access outcomes, per-core hit/miss/write/cross-eviction
+    /// statistics, the batch summary and the resulting cache contents,
+    /// for every policy, with and without partition enforcement.
     #[test]
     fn batched_kernel_equals_scalar_oracle(
         policy_idx in 0usize..POLICIES.len(),
@@ -264,42 +330,12 @@ proptest! {
             .map(|&(core, line, w)| Access::new(core, line << 6, w == 0))
             .collect();
         let enforcement = enforcement_for(enf_choice, policy);
-
-        let mut scalar = small_cache(policy, 2);
-        scalar.set_enforcement(enforcement.clone());
-        let mut scalar_evictions = 0u64;
-        let mut scalar_hits = 0u64;
-        for a in &stream {
-            let out = scalar.access(usize::from(a.core), a.addr, a.write);
-            scalar_hits += u64::from(out.hit);
-            scalar_evictions += u64::from(out.evicted.is_some());
-        }
-
-        let mut batched = small_cache(policy, 2);
-        batched.set_enforcement(enforcement);
-        let mut batch = BatchStats::default();
-        for piece in stream.chunks(chunk) {
-            batched.access_batch(piece, &mut batch);
-        }
-
-        // Statistics are bit-identical.
-        prop_assert_eq!(scalar.stats(), batched.stats());
-        // The batch summary agrees with the oracle's event counts.
-        prop_assert_eq!(batch.accesses, stream.len() as u64);
-        prop_assert_eq!(batch.hits, scalar_hits);
-        prop_assert_eq!(batch.misses, stream.len() as u64 - scalar_hits);
-        prop_assert_eq!(batch.evictions, scalar_evictions);
-        let total = scalar.stats().total();
-        prop_assert_eq!(batch.cross_evictions, total.cross_evictions);
-        prop_assert_eq!(batch.hits, total.hits);
-        // And the cache contents converged to the same lines.
-        for line in 0u64..512 {
-            prop_assert_eq!(
-                scalar.probe(line << 6),
-                batched.probe(line << 6),
-                "line {} diverged", line
-            );
-        }
+        let fresh = || {
+            let mut c = small_cache(policy, 2);
+            c.set_enforcement(enforcement.clone());
+            c
+        };
+        assert_kernel_matches_reference(fresh, &[], &stream, chunk)?;
     }
 
     /// Splitting one stream at any boundary and batching the halves leaves
@@ -333,7 +369,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// SWAR kernel edge cases: the v2 batched kernel packs 8-bit tag signatures
+// SWAR kernel edge cases: the access kernel packs 8-bit tag signatures
 // eight-per-u64, so the shapes most likely to break it are the ones that
 // stress lane boundaries — a single lane (assoc 1 and 2), a partially
 // filled second/third lane word (assoc > 16), signature collisions that
@@ -383,9 +419,8 @@ fn enforcement_for_assoc(choice: usize, policy: PolicyKind, assoc: usize) -> Enf
     }
 }
 
-/// Drive the same stream through the scalar oracle and the batched v2
-/// kernel (in `chunk`-sized pieces) and assert bit-identical statistics,
-/// batch summary, and final contents.
+/// [`assert_kernel_matches_reference`] on a fresh edge cache under
+/// `enforcement`.
 fn assert_batch_matches_oracle(
     policy: PolicyKind,
     assoc: usize,
@@ -393,44 +428,19 @@ fn assert_batch_matches_oracle(
     stream: &[Access],
     chunk: usize,
 ) -> Result<(), TestCaseError> {
-    let mut scalar = edge_cache(policy, assoc, 2);
-    scalar.set_enforcement(enforcement.clone());
-    let mut scalar_hits = 0u64;
-    let mut scalar_evictions = 0u64;
-    for a in stream {
-        let out = scalar.access(usize::from(a.core), a.addr, a.write);
-        scalar_hits += u64::from(out.hit);
-        scalar_evictions += u64::from(out.evicted.is_some());
-    }
-
-    let mut batched = edge_cache(policy, assoc, 2);
-    batched.set_enforcement(enforcement);
-    let mut batch = BatchStats::default();
-    for piece in stream.chunks(chunk.max(1)) {
-        batched.access_batch(piece, &mut batch);
-    }
-
-    prop_assert_eq!(scalar.stats(), batched.stats());
-    prop_assert_eq!(batch.accesses, stream.len() as u64);
-    prop_assert_eq!(batch.hits, scalar_hits);
-    prop_assert_eq!(batch.evictions, scalar_evictions);
-    for a in stream {
-        prop_assert_eq!(
-            scalar.probe(a.addr),
-            batched.probe(a.addr),
-            "addr {:#x} diverged (assoc {})",
-            a.addr,
-            assoc
-        );
-    }
-    Ok(())
+    let fresh = || {
+        let mut c = edge_cache(policy, assoc, 2);
+        c.set_enforcement(enforcement.clone());
+        c
+    };
+    assert_kernel_matches_reference(fresh, &[], stream, chunk)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batch v2 ≡ scalar oracle at the SWAR lane-boundary associativities,
-    /// for every registered policy × enforcement style. (BT only supports
+    /// Kernel ≡ reference at the SWAR lane-boundary associativities, for
+    /// every registered policy × enforcement style. (BT only supports
     /// power-of-two shapes, so 17 and 20 skip it.)
     #[test]
     fn swar_kernel_matches_oracle_at_edge_associativities(
@@ -456,10 +466,11 @@ proptest! {
 
     /// A reset cache keeps its stale tag and signature planes but clears
     /// the valid bits; re-filling it with a different working set must
-    /// behave exactly like the oracle (stale signature bytes may collide
-    /// with the new probes — `valid` has to gate every candidate). This is
-    /// also the duplicate-signatures-across-ways case: after the refill,
-    /// live ways sit next to stale bytes equal to other live signatures.
+    /// behave exactly like the reference (stale signature bytes may
+    /// collide with the new probes — `valid` has to gate every
+    /// candidate). This is also the duplicate-signatures-across-ways
+    /// case: after the refill, live ways sit next to stale bytes equal to
+    /// other live signatures.
     #[test]
     fn reset_leaves_stale_signatures_harmless(
         policy_idx in 0usize..POLICIES.len(),
@@ -474,38 +485,15 @@ proptest! {
         let to_stream = |ops: &[(usize, u64)]| -> Vec<Access> {
             ops.iter().map(|&(core, line)| Access::read(core, line << 6)).collect()
         };
-
-        let mut scalar = edge_cache(policy, assoc, 2);
-        for a in to_stream(&first) {
-            scalar.access(usize::from(a.core), a.addr, a.write);
-        }
-        scalar.reset();
-        scalar.reset_stats();
-        let mut batched = edge_cache(policy, assoc, 2);
-        let mut warm = BatchStats::default();
-        batched.access_batch(&to_stream(&first), &mut warm);
-        batched.reset();
-        batched.reset_stats();
-
-        let replay = to_stream(&second);
-        let mut batch = BatchStats::default();
-        for piece in replay.chunks(chunk) {
-            batched.access_batch(piece, &mut batch);
-        }
-        for a in &replay {
-            scalar.access(usize::from(a.core), a.addr, a.write);
-        }
-        prop_assert_eq!(scalar.stats(), batched.stats());
-        for a in &replay {
-            prop_assert_eq!(scalar.probe(a.addr), batched.probe(a.addr));
-        }
+        let fresh = || edge_cache(policy, assoc, 2);
+        assert_kernel_matches_reference(fresh, &to_stream(&first), &to_stream(&second), chunk)?;
     }
 }
 
 /// Tags engineered to share one 8-bit signature (the Fibonacci-hash top
 /// byte) force the kernel down its false-positive path on every probe:
 /// the SWAR scan flags several candidate ways and only the full-tag
-/// verification may decide. The kernel must still match the oracle's
+/// verification may decide. The kernel must still match the reference's
 /// tie-breaks exactly.
 #[test]
 fn signature_collisions_are_verified_against_full_tags() {
@@ -537,13 +525,13 @@ fn signature_collisions_are_verified_against_full_tags() {
                 .map(|&line| Access::read(0, line << 6))
                 .collect();
             assert_batch_matches_oracle(policy, assoc, Enforcement::None, &stream, 7)
-                .expect("colliding-signature stream must match the oracle");
+                .expect("colliding-signature stream must match the reference");
         }
     }
 }
 
-/// All-invalid sets: a cold cache batch-filled with distinct lines must
-/// fill exactly the ways the oracle fills (lowest invalid way first) and
+/// All-invalid sets: a cold cache filled with distinct lines must fill
+/// exactly the ways the reference fills (lowest invalid way first) and
 /// record identical statistics, for every policy and edge associativity.
 #[test]
 fn all_invalid_sets_fill_like_the_oracle() {
@@ -558,7 +546,7 @@ fn all_invalid_sets_fill_like_the_oracle() {
                 .map(|line| Access::read(0, line << 6))
                 .collect();
             assert_batch_matches_oracle(policy, assoc, Enforcement::None, &stream, 5)
-                .expect("cold-fill stream must match the oracle");
+                .expect("cold-fill stream must match the reference");
         }
     }
 }

@@ -88,7 +88,6 @@ impl Records {
         self.fetch_accum += insts;
         let n = self.fetch_accum / self.insts_per_fetch_line;
         self.fetch_accum %= self.insts_per_fetch_line;
-        out.reserve(n as usize);
         for _ in 0..n {
             let line = self.fetch_cursor % self.code_lines;
             self.fetch_cursor += 1;

@@ -43,8 +43,6 @@ pub struct LiveFront {
     core: usize,
     /// The current record's fetch group.
     lines: Vec<u64>,
-    /// Scratch for the L1I's batch kernel.
-    batch: Vec<Access>,
 }
 
 impl LiveFront {
@@ -61,7 +59,6 @@ impl LiveFront {
             l1: L1Pair::new(cfg.l1i, cfg.l1d),
             core,
             lines: Vec::new(),
-            batch: Vec::new(),
         }
     }
 
@@ -71,10 +68,7 @@ impl LiveFront {
         step.insts = r.instructions();
         step.fetch.clear();
         self.records.fetch_addrs_into(step.insts, &mut self.lines);
-        if !self.lines.is_empty() {
-            self.l1
-                .fetch(self.core, &self.lines, &mut self.batch, &mut step.fetch);
-        }
+        self.l1.fetch(self.core, &self.lines, &mut step.fetch);
         step.data = (!self.l1.data(r.addr, r.is_write)).then_some((r.addr, r.is_write));
     }
 }

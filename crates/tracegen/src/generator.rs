@@ -2,7 +2,7 @@
 
 use crate::benchmark::BenchmarkProfile;
 use crate::component::{select_part, Component, Mixture};
-use crate::record::MemRecord;
+use crate::record::{MemRecord, MAX_GAP};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -158,13 +158,14 @@ impl TraceGenerator {
         self.phase
     }
 
-    /// Sample a geometric instruction gap with mean `(1-p)/p`, capped so a
-    /// single record never spans more than 10 000 instructions.
+    /// Sample a geometric instruction gap with mean `(1-p)/p`, capped at
+    /// [`MAX_GAP`] so a single record never spans more than that many
+    /// non-memory instructions.
     fn sample_gap(&mut self) -> u32 {
         let u: f64 = self.rng.gen_range(0.0..1.0);
         // Number of Bernoulli(p) failures before the first success.
         let g = ((1.0 - u).ln() / self.ln_one_minus_p).floor();
-        g.min(10_000.0) as u32
+        g.min(f64::from(MAX_GAP)) as u32
     }
 
     fn advance_phase(&mut self, insts: u64) {

@@ -47,7 +47,6 @@ pub mod benchmark;
 pub mod component;
 pub mod dict;
 pub mod generator;
-pub mod io;
 pub mod record;
 pub mod trace;
 pub mod workloads;
@@ -55,6 +54,6 @@ pub mod workloads;
 pub use benchmark::{benchmark, benchmark_names, BenchmarkProfile, PhaseSpec};
 pub use component::{Component, Mixture};
 pub use generator::{addr_word, word_addr, TraceGenerator};
-pub use record::MemRecord;
+pub use record::{MemRecord, MAX_GAP};
 pub use trace::{TraceError, TraceInfo, TraceMeta, TraceSource};
 pub use workloads::{all_workloads, workload, workloads_with_threads, Workload};

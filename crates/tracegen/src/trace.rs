@@ -42,8 +42,8 @@
 //! ## Reading and replaying
 //!
 //! [`read_info`] / [`load_info`] decode only the header; [`validate_path`]
-//! streams the whole file and cross-checks every chunk against the header
-//! counts (the cheap pre-flight the `trace`/`sweep` binaries run so a
+//! streams the whole file, cross-checks every chunk against the header
+//! counts and rejects any gap above [`MAX_GAP`] (the cheap pre-flight the `trace`/`sweep` binaries run so a
 //! corrupt file is a readable error, not a mid-simulation panic);
 //! [`scan_stats`] additionally tallies per-codec chunk counts and the
 //! compression ratio for `trace info`; [`TraceReader`] streams one
@@ -67,8 +67,7 @@
 //! header fails with a one-line error instead of a multi-GiB allocation.
 
 use crate::dict;
-use crate::io::{read_varint, unzigzag, write_varint, zigzag};
-use crate::record::MemRecord;
+use crate::record::{MemRecord, MAX_GAP};
 use crate::TraceGenerator;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -79,8 +78,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Container magic (distinct from the flat single-stream format in
-/// [`crate::io`]).
+/// Container magic.
 pub const TRACE_MAGIC: &[u8; 4] = b"PLTC";
 /// Original container format version: uncompressed chunk payloads.
 pub const TRACE_VERSION: u32 = 1;
@@ -240,6 +238,52 @@ impl TraceInfo {
     pub fn total_records(&self) -> u64 {
         self.records.iter().sum()
     }
+}
+
+// ---------------------------------------------------------------------
+// Varints.
+// ---------------------------------------------------------------------
+
+fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            w.write_all(&[byte])?;
+            return Ok(());
+        }
+        w.write_all(&[byte | 0x80])?;
+    }
+}
+
+fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let mut b = [0u8; 1];
+        r.read_exact(&mut b)?;
+        if shift >= 64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "varint overflow",
+            ));
+        }
+        v |= u64::from(b[0] & 0x7f) << shift;
+        if b[0] & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+#[inline]
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+#[inline]
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 // ---------------------------------------------------------------------
@@ -704,11 +748,13 @@ impl<R: Read> TraceReader<R> {
 }
 
 /// Stream the whole container once, cross-checking every chunk and the
-/// header's per-thread record counts; returns the header on success.
+/// header's per-thread record counts, and rejecting any record whose gap
+/// exceeds [`MAX_GAP`]; returns the header on success.
 ///
 /// This is the pre-flight the `trace` and `sweep` binaries (and scenario
 /// expansion) run so a malformed file surfaces as a readable error before
-/// any simulation starts.
+/// any simulation starts. The codec itself round-trips any `u32` gap; only
+/// a trace meant for simulation has to stay within the generator's cap.
 pub fn validate_path(path: impl AsRef<Path>) -> Result<TraceInfo, TraceError> {
     let path = path.as_ref();
     let mut r = BufReader::new(File::open(path)?);
@@ -730,7 +776,16 @@ pub fn validate_path(path: impl AsRef<Path>) -> Result<TraceInfo, TraceError> {
         decoded.clear();
         decode_payload(&h, &scratch, &mut raw, &mut decoded)?;
         // repolint: allow(panic) — read_chunk_header rejects h.thread >= threads
-        seen[h.thread] += u64::from(h.records);
+        let seen_t = &mut seen[h.thread];
+        if let Some((i, r)) = decoded.iter().enumerate().find(|(_, r)| r.gap > MAX_GAP) {
+            return Err(TraceError::format(format!(
+                "thread {} record {} has a gap of {} instructions, above the cap of {MAX_GAP}",
+                h.thread,
+                *seen_t + i as u64,
+                r.gap
+            )));
+        }
+        *seen_t += u64::from(h.records);
     }
     if seen != info.records {
         return Err(TraceError::format(format!(
@@ -1332,6 +1387,22 @@ impl<W: Write + Seek + Send> TraceSource for CapturingSource<W> {
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn varint_edge_values() {
+        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v).unwrap();
+            assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn zigzag_round_trip() {
+        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+    }
 
     fn meta(benchmarks: &[&str]) -> TraceMeta {
         TraceMeta {

@@ -1,8 +1,7 @@
-//! Property-based tests of the trace generator: determinism, statistical
-//! targets, and format round-trips for arbitrary record streams.
+//! Property-based tests of the trace generator: determinism and
+//! statistical targets.
 
 use proptest::prelude::*;
-use tracegen::io::{read_trace, write_trace};
 use tracegen::{benchmark, benchmark_names, MemRecord, TraceGenerator};
 
 fn bench_name() -> impl Strategy<Value = &'static str> {
@@ -49,24 +48,6 @@ proptest! {
         let writes = (0..n).filter(|_| g.next_record().is_write).count();
         let measured = writes as f64 / n as f64;
         prop_assert!((measured - target).abs() < 0.03, "{name}");
-    }
-
-    /// Arbitrary record streams survive the binary format round trip.
-    #[test]
-    fn arbitrary_traces_round_trip(
-        recs in proptest::collection::vec(
-            (0u32..5000, any::<u64>(), any::<bool>()).prop_map(|(gap, addr, w)| MemRecord {
-                gap,
-                addr,
-                is_write: w,
-            }),
-            0..500,
-        )
-    ) {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &recs).unwrap();
-        let back = read_trace(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(back, recs);
     }
 
     /// Addresses stay line-aligned (the generator emits line-granular

@@ -18,11 +18,11 @@
 //!
 //! Dispatch stays enum-based end to end ([`PolicyKind`] / [`CpaConfig`]):
 //! there are no trait objects anywhere on the per-access hot path. Every
-//! simulation the engine builds runs on the cache's *batched* access
-//! kernel (`cachesim::Cache::access_batch` under
-//! `cmpsim::System::run`'s fetch path), which dispatches on the policy
-//! once per trace chunk instead of once per access; the scalar
-//! `Cache::access` survives as the property-tested oracle.
+//! cache access a simulation makes runs one signature-plane kernel, after
+//! one policy dispatch per call: the private L1s and the L1D misses reach
+//! it one access at a time through `cachesim::Cache::access`, and
+//! `cmpsim::System::run` hands the shared L2 each record's L1I misses
+//! through `Cache::access_batch` (almost always a single line).
 //!
 //! The experiment-fleet helpers live here too: [`parallel_map`] fans
 //! independent simulations out over hardware threads, and the engine

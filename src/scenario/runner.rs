@@ -116,8 +116,7 @@ impl SweepRunner {
 /// L2 stream to every requested profiler.
 pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, ScenarioError> {
     use cachesim::{Cache, CacheConfig, PolicyKind};
-    use plru_core::profiler::{BtProfiler, LruProfiler, NruProfiler};
-    use plru_core::{NruUpdateMode, Profiler, ProfilerFidelity};
+    use plru_core::{NruUpdateMode, Profiler, ProfilerFidelity, ProfilerState};
     use tracegen::TraceGenerator;
 
     let profile = tracegen::benchmark(&spec.benchmark)
@@ -135,11 +134,6 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
         .parse()
         .map_err(ScenarioError::new)?;
 
-    enum Prof {
-        Lru(LruProfiler),
-        Nru(NruProfiler),
-        Bt(BtProfiler),
-    }
     let baseline = cmpsim::MachineConfig::paper_baseline(1);
     let geom = baseline.l2;
     // Full (unsampled) exact ATDs by default, so the curves are smooth in
@@ -151,23 +145,11 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
     // "BT"), not schemes — there is no enforcement part and bare scale
     // prefixes are legal — so it deliberately does not go through the
     // `Scheme` grammar.
-    let mut profilers: Vec<(String, Prof)> = Vec::new();
+    let mut profilers: Vec<(String, ProfilerState)> = Vec::new();
     for p in &spec.profilers {
-        let (label, prof) = match p.as_str() {
-            "L" => (
-                "SDH (LRU)".to_string(),
-                Prof::Lru(
-                    LruProfiler::try_new(geom, ratio, fidelity)
-                        .map_err(|e| ScenarioError::new(e.to_string()))?,
-                ),
-            ),
-            "BT" => (
-                "eSDH BT".to_string(),
-                Prof::Bt(
-                    BtProfiler::try_new(geom, ratio, fidelity)
-                        .map_err(|e| ScenarioError::new(e.to_string()))?,
-                ),
-            ),
+        let (label, kind, scale) = match p.as_str() {
+            "L" => ("SDH (LRU)".to_string(), PolicyKind::Lru, 1.0),
+            "BT" => ("eSDH BT".to_string(), PolicyKind::Bt, 1.0),
             nru if nru.ends_with('N') => {
                 let scale: f64 = nru[..nru.len() - 1].parse().map_err(|_| {
                     ScenarioError::new(format!("bad NRU profiler scale in `{nru}`"))
@@ -177,13 +159,7 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
                         "NRU profiler scale {scale} outside (0, 1]"
                     )));
                 }
-                (
-                    format!("eSDH {nru}"),
-                    Prof::Nru(
-                        NruProfiler::try_new(geom, ratio, scale, NruUpdateMode::Scaled, fidelity)
-                            .map_err(|e| ScenarioError::new(e.to_string()))?,
-                    ),
-                )
+                (format!("eSDH {nru}"), PolicyKind::Nru, scale)
             }
             other => {
                 return Err(ScenarioError::new(format!(
@@ -191,6 +167,9 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
                 )))
             }
         };
+        let prof =
+            ProfilerState::try_new(kind, geom, ratio, scale, NruUpdateMode::Scaled, fidelity)
+                .map_err(|e| ScenarioError::new(e.to_string()))?;
         profilers.push((label, prof));
     }
 
@@ -209,11 +188,7 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
         if !l1.access(0, rec.addr, rec.is_write).hit {
             l2_accesses += 1;
             for (_, prof) in &mut profilers {
-                match prof {
-                    Prof::Lru(p) => p.observe(rec.addr),
-                    Prof::Nru(p) => p.observe(rec.addr),
-                    Prof::Bt(p) => p.observe(rec.addr),
-                }
+                prof.observe(rec.addr);
             }
         }
     }
@@ -222,11 +197,7 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
         .into_iter()
         .map(|(label, prof)| MissCurve {
             label,
-            misses: match prof {
-                Prof::Lru(p) => p.sdh().miss_curve(),
-                Prof::Nru(p) => p.sdh().miss_curve(),
-                Prof::Bt(p) => p.sdh().miss_curve(),
-            },
+            misses: prof.sdh().miss_curve(),
         })
         .collect();
     Ok(MissCurveReport {

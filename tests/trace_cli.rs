@@ -256,6 +256,53 @@ fn truncated_trace_is_a_readable_nonzero_exit() {
     assert!(!err.contains("panicked"), "{err}");
 }
 
+/// A one-thread, generator-streamed `gzip` container whose third record
+/// carries `gap` instructions.
+fn trace_with_gap(name: &str, gap: u32) -> PathBuf {
+    use plru_repro::tracegen::{trace::TraceWriter, MemRecord};
+    let path = tmp(name);
+    let meta = TraceMeta {
+        workload: "gzip".into(),
+        benchmarks: vec!["gzip".into()],
+        seed: 1,
+        seed_salt: 0,
+        insts: 0,
+        scheme: None,
+    };
+    let file = std::fs::File::create(&path).unwrap();
+    let mut w = TraceWriter::create(file, &meta).unwrap();
+    for i in 0..8u64 {
+        let rec = MemRecord {
+            gap: if i == 2 { gap } else { 3 },
+            addr: i * 128,
+            is_write: false,
+        };
+        w.push(0, rec).unwrap();
+    }
+    w.finish().unwrap();
+    path
+}
+
+#[test]
+fn replay_rejects_gaps_above_the_generator_cap() {
+    // The codec carries any u32 gap, but the core model turns a record's
+    // instructions into a fetch group, so a replayed gap must stay within
+    // what the generator can emit.
+    let cap = plru_repro::tracegen::MAX_GAP;
+    for gap in [cap + 1, u32::MAX] {
+        let path = trace_with_gap(&format!("plru_cli_gap_{gap}.pltc"), gap);
+        let out = run(trace_bin().args(["replay", path.to_str().unwrap(), "--insts", "2000"]));
+        let _ = std::fs::remove_file(&path);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "gap {gap}: {err}");
+        assert!(
+            err.starts_with("trace: ") && err.lines().count() == 1,
+            "{err}"
+        );
+        assert!(err.contains(&format!("cap of {cap}")), "{err}");
+    }
+}
+
 #[test]
 fn missing_file_and_bad_usage_exit_nonzero() {
     let out = run(trace_bin().args(["info", "/no/such/file.pltc"]));
