@@ -31,11 +31,11 @@
 //! batch pays one dispatch for its whole slice. In the simulator single
 //! accesses dominate: on the Figure 8 sweep at 100k instructions per
 //! thread, 94.6% of L2 accesses are L1D misses through `Cache::access`,
-//! and all but a handful of the instruction-fetch batches hold one line.
+//! and almost every instruction-fetch batch holds one line.
 //!
 //! The per-way tag-row scan survives only as the reference the
 //! differential property suites compare the kernel against
-//! ([`Cache::access_reference`], hidden from the docs). It reads the
+//! (`Cache::access_reference`, hidden from the docs). It reads the
 //! [`Enforcement`] enum directly instead of the plan, and the kernel keeps
 //! its tie-breaks exactly (lowest matching valid way, lowest invalid way),
 //! so outcomes, statistics and contents are bit-identical to it
