@@ -1,20 +1,22 @@
 //! Trace decode throughput: records per second drained out of a PLTC
 //! container through the `RecordedThread` sources — the path a recorded
-//! sweep actually pays for. Compares the v1 raw container against the
-//! v2 dict-compressed one, and the v2 pipeline at several decode-worker
-//! counts, so both a codec regression and a pipeline regression show up
-//! as their own gated criterion id.
+//! sweep actually pays for. Every id runs the one chunk reader
+//! (`TraceReader`); they compare the v1 raw container against the v2
+//! dict-compressed one, and v2 decoded inline against v2 on decode
+//! pools, so both a codec regression and a decode-placement regression
+//! show up as their own gated criterion id.
 //!
 //! Ids (`trace_decode/v1`, `trace_decode/v2-w0`, `trace_decode/v2-w2`,
 //! `trace_decode/v2-w4`) record mean ns per full drain of a fixed
-//! ~62k-record two-thread trace; each run prints the record total so
-//! logs can convert the mean into records/sec directly.
+//! ~62k-record two-thread trace, including opening the sources (and
+//! spawning the pool); each run prints the record total so logs can
+//! convert the mean into records/sec directly.
 //!
 //! Note the drain does no work between records, so the worker>0 ids
-//! measure the pipeline's synchronization overhead at maximum pull rate
-//! — its worst case. In a real replay the simulator burns cycles per
-//! record and the workers decode ahead; what matters here is that the
-//! overhead stays bounded, which the gate enforces.
+//! measure the pool's hand-off cost at maximum pull rate — its worst
+//! case. In a real replay the simulator burns cycles per record and the
+//! workers decode ahead; what matters here is that the overhead stays
+//! bounded, which the gate enforces.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;

@@ -630,11 +630,6 @@ impl Cache {
         &self.geom
     }
 
-    /// The replacement policy kind.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
-    }
-
     /// Access to the raw policy state (used by tests and by the ATD, which
     /// mirrors policy state).
     pub fn policy(&self) -> &PolicyState {
@@ -668,11 +663,6 @@ impl Cache {
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Reset statistics only (state kept).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Reset all content, replacement state and statistics.

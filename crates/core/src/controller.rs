@@ -131,12 +131,6 @@ impl CpaController {
         self.clusters
     }
 
-    /// The cluster a core belongs to.
-    #[inline]
-    pub fn cluster_of(&self, core: usize) -> usize {
-        core % self.clusters
-    }
-
     /// The configuration acronym (e.g. `M-0.75N`).
     pub fn acronym(&self) -> String {
         self.config.acronym()

@@ -3,9 +3,10 @@
 use serde::{Deserialize, Serialize};
 
 /// The largest instruction gap a record may carry. The generator caps its
-/// geometric gaps here, and [`crate::trace::validate_path`] rejects a
-/// recorded trace holding a larger one, so no replayed record can ask the
-/// core model for an unbounded fetch group.
+/// geometric gaps here; [`crate::trace::validate_path`] rejects a recorded
+/// trace holding a larger one and [`crate::trace::RecordedThread`] refuses
+/// one mid-replay, so no replayed record can ask the core model for an
+/// unbounded fetch group.
 pub const MAX_GAP: u32 = 10_000;
 
 /// One data-memory access in a trace, preceded by `gap` non-memory

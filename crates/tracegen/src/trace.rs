@@ -43,23 +43,26 @@
 //!
 //! [`read_info`] / [`load_info`] decode only the header; [`validate_path`]
 //! streams the whole file, cross-checks every chunk against the header
-//! counts and rejects any gap above [`MAX_GAP`] (the cheap pre-flight the `trace`/`sweep` binaries run so a
-//! corrupt file is a readable error, not a mid-simulation panic);
-//! [`scan_stats`] additionally tallies per-codec chunk counts and the
-//! compression ratio for `trace info`; [`TraceReader`] streams one
-//! thread's records off any [`Read`]; [`RecordedThread`] is the
-//! file-backed [`TraceSource`] the simulator plugs in where a live
+//! counts and rejects any gap above [`MAX_GAP`] (the cheap pre-flight the
+//! `trace`/`sweep` binaries run so a corrupt file is a readable error, not
+//! a mid-simulation panic); [`scan_stats`] additionally tallies per-codec
+//! chunk counts and the compression ratio for `trace info`.
+//!
+//! [`TraceReader`] is the one reader of a thread's records: it walks the
+//! chunks in file order, seeks over other threads' payloads and stops at
+//! the thread's record count. [`RecordedThread`] wraps one on its own file
+//! handle as the [`TraceSource`] the simulator plugs in where a live
 //! [`TraceGenerator`] would go — strict for capture-mode traces, cyclic
-//! for generator-streamed ones (see its docs for the exhaustion
-//! semantics).
+//! (rewinding the open handle) for generator-streamed ones; see its docs
+//! for the exhaustion semantics.
 //!
 //! Because chunks are length-prefixed and self-contained, decoding can
 //! run ahead of consumption: [`open_sources_with`] a non-zero
-//! [`DecodeOptions::workers`] shares one [`DecodePool`] across every
-//! [`RecordedThread`], and each thread's reader keeps a small window of
-//! chunks in flight while the simulator drains records. Chunk results
-//! are reassembled strictly in submission order, so replay stays
-//! bit-identical to the sequential path at any worker count.
+//! [`DecodeOptions::workers`] spawns one pool of decode workers shared by
+//! every [`RecordedThread`], and each reader keeps `workers + 2` of its
+//! chunks in flight on it while the simulator drains records. Results
+//! come back in submission order, so replay is bit-identical to inline
+//! decoding at any worker count.
 //!
 //! Every length field a reader trusts is capped first: metadata at
 //! [`MAX_META_BYTES`] (mirroring the service protocol's frame cap) and
@@ -75,7 +78,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Container magic.
@@ -653,44 +656,72 @@ fn decode_chunk(payload: &[u8], records: u32, out: &mut Vec<MemRecord>) -> Resul
     Ok(())
 }
 
-/// Streaming reader of **one thread's** records out of a container.
+/// Streaming reader of **one thread's** records out of a container — the
+/// only reader of a thread's chunks, inline or on a pool of decode workers.
 ///
-/// Chunks of other threads are skipped; decoding state is bounded by one
-/// chunk. The reader knows its thread's record count from the header, so
-/// the end of the stream is a clean `Ok(None)` even though chunks of
-/// other threads may follow.
+/// One walk reads this thread's chunks in file order, skips other
+/// threads' payloads with a relative seek and stops at the header's
+/// record count, so the end of the stream is a clean `Ok(None)` even
+/// though chunks of other threads may follow. Decoding state is bounded
+/// by one chunk inline, and by `workers + 2` chunks in flight on a pool;
+/// results come back in submission order, so the record stream is the
+/// same either way. [`TraceReader::rewind`] restarts the stream on the
+/// open handle.
 #[derive(Debug)]
-pub struct TraceReader<R: Read> {
+pub struct TraceReader<R> {
     r: R,
     thread: usize,
     info: TraceInfo,
+    /// The thread's record count, from the header.
+    total: u64,
+    /// Offset of the first chunk.
+    start: u64,
     delivered: u64,
+    /// Records in the chunks read off `r` so far.
+    fetched: u64,
     chunk: Vec<MemRecord>,
     chunk_pos: usize,
-    scratch: Vec<u8>,
+    payload: Vec<u8>,
     raw: Vec<u8>,
+    pool: Option<Arc<DecodePool>>,
+    /// Replies of the chunks on the pool, oldest first.
+    in_flight: VecDeque<mpsc::Receiver<Result<Vec<MemRecord>, TraceError>>>,
 }
 
-impl<R: Read> TraceReader<R> {
+impl<R: Read + Seek> TraceReader<R> {
     /// Decode the header of `r` and position a reader on `thread`'s
-    /// stream.
-    pub fn new(mut r: R, thread: usize) -> Result<Self, TraceError> {
+    /// stream, decoding chunks inline.
+    pub fn new(r: R, thread: usize) -> Result<Self, TraceError> {
+        Self::with_pool(r, thread, None)
+    }
+
+    /// [`TraceReader::new`], decoding on `pool` when one is given.
+    fn with_pool(
+        mut r: R,
+        thread: usize,
+        pool: Option<Arc<DecodePool>>,
+    ) -> Result<Self, TraceError> {
         let info = read_info(&mut r)?;
-        if thread >= info.meta.threads() {
+        let Some(&total) = info.records.get(thread) else {
             return Err(TraceError::format(format!(
                 "thread {thread} out of range (trace has {})",
                 info.meta.threads()
             )));
-        }
+        };
         Ok(TraceReader {
+            start: r.stream_position()?,
             r,
             thread,
             info,
+            total,
             delivered: 0,
+            fetched: 0,
             chunk: Vec::new(),
             chunk_pos: 0,
-            scratch: Vec::new(),
+            payload: Vec::new(),
             raw: Vec::new(),
+            pool,
+            in_flight: VecDeque::new(),
         })
     }
 
@@ -699,7 +730,7 @@ impl<R: Read> TraceReader<R> {
         &self.info
     }
 
-    /// Records already delivered.
+    /// Records already delivered since the start (or the last rewind).
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
@@ -707,43 +738,91 @@ impl<R: Read> TraceReader<R> {
     /// Next record of this thread's stream; `Ok(None)` once the header's
     /// record count has been delivered.
     pub fn try_next(&mut self) -> Result<Option<MemRecord>, TraceError> {
-        // repolint: allow(panic) — TraceReader::new rejects thread >= meta.threads() = records.len()
-        if self.delivered >= self.info.records[self.thread] {
+        if self.delivered >= self.total {
             return Ok(None);
         }
-        while self.chunk_pos >= self.chunk.len() {
-            let h = match read_chunk_header(
-                &mut self.r,
-                self.info.version,
-                self.info.meta.threads(),
-            )? {
-                Some(h) => h,
-                None => {
-                    return Err(TraceError::format(format!(
-                        "trace ends early: thread {} delivered {} of {} records",
-                        self.thread,
-                        self.delivered,
-                        // repolint: allow(panic) — same construction-time bound as in try_next's first line
-                        self.info.records[self.thread]
-                    )));
-                }
-            };
-            self.scratch.resize(h.payload_len as usize, 0);
-            self.r
-                .read_exact(&mut self.scratch)
-                .map_err(|_| TraceError::format("truncated chunk payload"))?;
+        loop {
+            if let Some(&rec) = self.chunk.get(self.chunk_pos) {
+                self.chunk_pos += 1;
+                self.delivered += 1;
+                return Ok(Some(rec));
+            }
+            self.next_chunk()?;
+        }
+    }
+
+    /// Seek the handle back to the first chunk, so the stream starts over.
+    pub fn rewind(&mut self) -> Result<(), TraceError> {
+        self.r.seek(SeekFrom::Start(self.start))?;
+        self.delivered = 0;
+        self.fetched = 0;
+        self.chunk.clear();
+        self.chunk_pos = 0;
+        self.in_flight.clear();
+        Ok(())
+    }
+
+    /// Make this thread's next decoded chunk current.
+    fn next_chunk(&mut self) -> Result<(), TraceError> {
+        self.chunk_pos = 0;
+        let Some(pool) = self.pool.clone() else {
+            let h = self.read_chunk()?;
+            self.chunk.clear();
+            return decode_payload(&h, &self.payload, &mut self.raw, &mut self.chunk);
+        };
+        // Refill the window right after taking its oldest chunk, so the
+        // workers decode ahead while that chunk's records drain.
+        self.submit_ahead(&pool)?;
+        let oldest = self.in_flight.pop_front();
+        self.submit_ahead(&pool)?;
+        self.chunk = oldest
+            .ok_or_else(|| self.ends_early())?
+            .recv()
+            .map_err(|_| TraceError::format("trace decode worker disconnected"))??;
+        Ok(())
+    }
+
+    /// Put this thread's next chunks on `pool` until `workers + 2` are in
+    /// flight or the chunks read cover the record count.
+    fn submit_ahead(&mut self, pool: &DecodePool) -> Result<(), TraceError> {
+        while self.in_flight.len() < pool.workers.len() + 2 && self.fetched < self.total {
+            let header = self.read_chunk()?;
+            let (reply, decoded) = mpsc::channel();
+            // A failed send drops `reply`, which the receive reports.
+            let _ = pool.tasks.send(DecodeTask {
+                header,
+                payload: std::mem::take(&mut self.payload),
+                reply,
+            });
+            self.in_flight.push_back(decoded);
+        }
+        Ok(())
+    }
+
+    /// The walk: read this thread's next chunk header and its payload
+    /// into `payload`, seeking over other threads' payloads.
+    fn read_chunk(&mut self) -> Result<ChunkHeader, TraceError> {
+        loop {
+            let h = read_chunk_header(&mut self.r, self.info.version, self.info.meta.threads())?
+                .ok_or_else(|| self.ends_early())?;
             if h.thread != self.thread {
+                self.r.seek_relative(i64::from(h.payload_len))?;
                 continue;
             }
-            self.chunk.clear();
-            self.chunk_pos = 0;
-            decode_payload(&h, &self.scratch, &mut self.raw, &mut self.chunk)?;
+            self.payload.resize(h.payload_len as usize, 0);
+            self.r
+                .read_exact(&mut self.payload)
+                .map_err(|_| TraceError::format("truncated chunk payload"))?;
+            self.fetched += u64::from(h.records);
+            return Ok(h);
         }
-        // repolint: allow(panic) — the while loop above refills until chunk_pos < chunk.len()
-        let rec = self.chunk[self.chunk_pos];
-        self.chunk_pos += 1;
-        self.delivered += 1;
-        Ok(Some(rec))
+    }
+
+    fn ends_early(&self) -> TraceError {
+        TraceError::format(format!(
+            "trace ends early: thread {} has {} of {} records",
+            self.thread, self.fetched, self.total
+        ))
     }
 }
 
@@ -840,309 +919,94 @@ pub fn scan_stats(path: impl AsRef<Path>) -> Result<(TraceInfo, TraceStats), Tra
 }
 
 // ---------------------------------------------------------------------
-// Parallel chunk decode.
+// Replay.
 // ---------------------------------------------------------------------
 
 /// How recorded-trace chunks are decoded during replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeOptions {
     /// Decode worker threads shared by all threads of one container;
-    /// 0 decodes inline on the consuming thread (the sequential path).
+    /// 0 decodes inline on the consuming thread.
     pub workers: usize,
 }
 
 impl DecodeOptions {
-    /// Decode with `n` shared worker threads (0 = sequential).
+    /// Decode with `n` shared worker threads (0 = inline).
     pub fn workers(n: usize) -> Self {
         DecodeOptions { workers: n }
     }
 }
 
-/// One chunk handed to the pool: everything needed to decode it without
-/// touching the file, plus the channel its records go back on.
+/// One chunk on its way to a decode worker, with the channel its records
+/// go back on.
 #[derive(Debug)]
 struct DecodeTask {
-    records: u32,
-    codec: u8,
-    raw_len: u32,
+    header: ChunkHeader,
     payload: Vec<u8>,
-    reply: mpsc::Sender<Result<Vec<MemRecord>, String>>,
+    reply: mpsc::Sender<Result<Vec<MemRecord>, TraceError>>,
 }
 
-#[derive(Debug)]
-struct PoolState {
-    queue: VecDeque<DecodeTask>,
-    shutdown: bool,
-}
-
-#[derive(Debug)]
-struct PoolShared {
-    state: Mutex<PoolState>,
-    available: Condvar,
-}
-
-/// A small shared pool of chunk-decode workers — the replay counterpart
-/// of the scenario sweep's `WorkerPool` (same queue + condvar shape;
-/// that pool lives above this crate and is typed to scenario cases, so
-/// the design is mirrored rather than reused).
+/// Chunk-decode workers shared by every [`RecordedThread`] of one
+/// container: one channel of [`DecodeTask`]s, drained by the workers.
 ///
-/// One pool serves every [`RecordedThread`] of a container: each reader
-/// submits chunk payloads in stream order and reassembles results in
-/// that same order, so replay output is independent of worker count and
-/// scheduling. Dropping the pool (when the last reader holding its
-/// `Arc` goes away) shuts the workers down and joins them.
+/// Dropping the pool (when the last reader holding its `Arc` goes away)
+/// hangs the channel up, so each worker returns once the channel is
+/// empty, and joins them.
 #[derive(Debug)]
-pub struct DecodePool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
+pub(crate) struct DecodePool {
+    tasks: mpsc::Sender<DecodeTask>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl DecodePool {
-    /// Spawn a pool of `workers.max(1)` decode threads.
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-        });
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let shared = shared.clone();
+    /// Spawn `workers.max(1)` decode threads.
+    pub(crate) fn new(workers: usize) -> io::Result<Self> {
+        let (tasks, queue) = mpsc::channel();
+        let queue = Arc::new(Mutex::new(queue));
+        let mut pool = DecodePool {
+            tasks,
+            workers: Vec::new(),
+        };
+        for i in 0..workers.max(1) {
+            let queue = Arc::clone(&queue);
+            pool.workers.push(
                 std::thread::Builder::new()
                     .name(format!("pltc-decode-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    // repolint: allow(panic) — spawn fails only on OS resource exhaustion, never on trace input
-                    .expect("spawn trace decode worker")
-            })
-            .collect();
-        DecodePool { shared, handles }
-    }
-
-    /// Worker threads in the pool.
-    pub fn worker_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    fn submit(&self, task: DecodeTask) {
-        // repolint: allow(panic) — poisoning means a worker already panicked; propagating is the only honest move
-        let mut st = self.shared.state.lock().expect("decode pool poisoned");
-        st.queue.push_back(task);
-        drop(st);
-        self.shared.available.notify_one();
+                    .spawn(move || decode_worker(&queue))?,
+            );
+        }
+        Ok(pool)
     }
 }
 
 impl Drop for DecodePool {
     fn drop(&mut self) {
-        self.shared
-            .state
-            .lock()
-            // repolint: allow(panic) — poisoning means a worker already panicked; propagating is the only honest move
-            .expect("decode pool poisoned")
-            .shutdown = true;
-        self.shared.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        // Swapping in a dead sender drops the live one: the channel hangs up.
+        drop(std::mem::replace(&mut self.tasks, mpsc::channel().0));
+        for worker in self.workers.drain(..) {
+            // A worker that panicked dropped its reply, which its reader
+            // has already reported.
+            let _ = worker.join();
         }
     }
 }
 
-fn worker_loop(shared: &PoolShared) {
+fn decode_worker(queue: &Mutex<mpsc::Receiver<DecodeTask>>) {
     let mut raw = Vec::new();
-    loop {
-        let task = {
-            // repolint: allow(panic) — poisoning means a worker already panicked; propagating is the only honest move
-            let mut st = shared.state.lock().expect("decode pool poisoned");
-            loop {
-                if let Some(t) = st.queue.pop_front() {
-                    break t;
-                }
-                if st.shutdown {
-                    return;
-                }
-                // repolint: allow(panic) — poisoning means a worker already panicked; propagating is the only honest move
-                st = shared.available.wait(st).expect("decode pool poisoned");
-            }
-        };
-        let h = ChunkHeader {
-            thread: 0, // not needed for decoding
-            records: task.records,
-            codec: task.codec,
-            raw_len: task.raw_len,
-            payload_len: task.payload.len() as u32,
-        };
-        // repolint: allow(cap-alloc) — read_chunk_header capped records at CHUNK_RECORDS before the task was queued
-        let mut out = Vec::with_capacity(task.records as usize);
-        let result = decode_payload(&h, &task.payload, &mut raw, &mut out)
-            .map(|()| out)
-            .map_err(|e| e.to_string());
-        // A dropped receiver just means the reader went away first.
-        let _ = task.reply.send(result);
-    }
-}
-
-/// The pipelined counterpart of [`TraceReader`]: reads one thread's
-/// chunk payloads off the file and keeps a small window of them
-/// decoding in a shared [`DecodePool`] while records are consumed.
-///
-/// Results come back over per-chunk channels held in submission order,
-/// so reassembly is a FIFO pop — byte-for-byte the sequential stream
-/// regardless of worker count. Other threads' payloads are skipped with
-/// a relative seek instead of being read.
-#[derive(Debug)]
-struct PipelinedReader {
-    file: BufReader<File>,
-    /// File offset of the first chunk (cyclic rewind target).
-    data_pos: u64,
-    info: TraceInfo,
-    thread: usize,
-    pool: Arc<DecodePool>,
-    /// Max chunks in flight (pool workers + 2).
-    window: usize,
-    pending: VecDeque<mpsc::Receiver<Result<Vec<MemRecord>, String>>>,
-    current: Vec<MemRecord>,
-    pos: usize,
-    delivered: u64,
-    submitted: u64,
-    /// Strict mode: the file's chunk stream is exhausted.
-    eof: bool,
-    /// Cyclic mode: a chunk of this thread was seen since the last
-    /// rewind (guards against spinning on a corrupt chunkless file).
-    found_this_pass: bool,
-}
-
-impl PipelinedReader {
-    fn new(path: &Path, thread: usize, pool: Arc<DecodePool>) -> Result<Self, TraceError> {
-        let mut file = BufReader::new(File::open(path)?);
-        let info = read_info(&mut file)?;
-        if thread >= info.meta.threads() {
-            return Err(TraceError::format(format!(
-                "thread {thread} out of range (trace has {})",
-                info.meta.threads()
-            )));
-        }
-        let data_pos = file.stream_position()?;
-        let window = pool.worker_count() + 2;
-        Ok(PipelinedReader {
-            file,
-            data_pos,
-            info,
-            thread,
-            pool,
-            window,
-            pending: VecDeque::new(),
-            current: Vec::new(),
-            pos: 0,
-            delivered: 0,
-            submitted: 0,
-            eof: false,
-            found_this_pass: false,
-        })
-    }
-
-    fn cyclic(&self) -> bool {
-        self.info.meta.insts == 0
-    }
-
-    /// Rewinds a cyclic replay has completed, inferred from delivery
-    /// (the file cursor runs ahead of consumption here).
-    fn wraps(&self) -> u64 {
-        if self.delivered == 0 {
-            0
-        } else {
-            // repolint: allow(panic) — PipelinedReader::new rejects thread >= meta.threads() = records.len()
-            (self.delivered - 1) / self.info.records[self.thread]
-        }
-    }
-
-    /// Top the in-flight window up with this thread's next chunks.
-    fn top_up(&mut self) -> Result<(), TraceError> {
-        // repolint: allow(panic) — same construction-time bound as in wraps()
-        let total = self.info.records[self.thread];
-        while self.pending.len() < self.window && !self.eof {
-            if !self.cyclic() && self.submitted >= total {
-                break;
-            }
-            match read_chunk_header(&mut self.file, self.info.version, self.info.meta.threads())? {
-                Some(h) => {
-                    if h.thread != self.thread {
-                        self.file.seek_relative(i64::from(h.payload_len))?;
-                        continue;
-                    }
-                    // repolint: allow(cap-alloc) — read_chunk_header capped payload_len at MAX_CHUNK_PAYLOAD
-                    let mut payload = vec![0u8; h.payload_len as usize];
-                    self.file
-                        .read_exact(&mut payload)
-                        .map_err(|_| TraceError::format("truncated chunk payload"))?;
-                    let (tx, rx) = mpsc::channel();
-                    self.pool.submit(DecodeTask {
-                        records: h.records,
-                        codec: h.codec,
-                        raw_len: h.raw_len,
-                        payload,
-                        reply: tx,
-                    });
-                    self.pending.push_back(rx);
-                    self.submitted += u64::from(h.records);
-                    self.found_this_pass = true;
-                }
-                None if self.cyclic() => {
-                    if !self.found_this_pass {
-                        return Err(TraceError::format(format!(
-                            "thread {} has no chunks to cycle through",
-                            self.thread
-                        )));
-                    }
-                    self.found_this_pass = false;
-                    self.file.seek(SeekFrom::Start(self.data_pos))?;
-                }
-                None => self.eof = true,
-            }
-        }
-        Ok(())
-    }
-
-    /// Same contract as [`TraceReader::try_next`]; cyclic streams never
-    /// return `Ok(None)` (the rewind happens on the file side).
-    fn try_next(&mut self) -> Result<Option<MemRecord>, TraceError> {
-        // repolint: allow(panic) — same construction-time bound as in wraps()
-        let total = self.info.records[self.thread];
-        if !self.cyclic() && self.delivered >= total {
-            return Ok(None);
-        }
-        while self.pos >= self.current.len() {
-            self.top_up()?;
-            let rx = match self.pending.pop_front() {
-                Some(rx) => rx,
-                None => {
-                    return Err(TraceError::format(format!(
-                        "trace ends early: thread {} delivered {} of {} records",
-                        self.thread, self.delivered, total
-                    )))
-                }
-            };
-            self.current = rx
-                .recv()
-                .map_err(|_| TraceError::format("trace decode worker disconnected"))?
-                .map_err(TraceError::Format)?;
-            self.pos = 0;
-            // Refill the window so workers stay busy while we drain.
-            self.top_up()?;
-        }
-        // repolint: allow(panic) — the while loop above refills until pos < current.len()
-        let rec = self.current[self.pos];
-        self.pos += 1;
-        self.delivered += 1;
-        Ok(Some(rec))
+    // The guard drops inside the closure: a worker holds the lock only
+    // while it waits for a task, never while it decodes one.
+    while let Some(task) = queue.lock().ok().and_then(|tasks| tasks.recv().ok()) {
+        let mut records = Vec::with_capacity((task.header.records as usize).min(CHUNK_RECORDS));
+        let decoded = decode_payload(&task.header, &task.payload, &mut raw, &mut records);
+        // A hung-up reply means the reader rewound or went away first.
+        let _ = task.reply.send(decoded.map(|()| records));
     }
 }
 
 /// A file-backed [`TraceSource`] replaying one recorded thread.
 ///
-/// Opens its own handle on the container (threads replay concurrently
-/// without sharing reader state).
+/// Owns a [`TraceReader`] on its own handle of the container (threads
+/// replay concurrently without sharing reader state).
 ///
 /// **Exhaustion semantics** follow what the header claims:
 ///
@@ -1153,49 +1017,24 @@ impl PipelinedReader {
 ///   comparing the replay target with [`TraceMeta::insts`]);
 /// * generator-streamed traces (`meta.insts == 0`) make no sufficiency
 ///   claim and replay **cyclically**: at the end of the recorded stream
-///   the source rewinds to the start, mirroring the live generator's
-///   cyclic phase schedule, so replay is total at any instruction
-///   target. [`RecordedThread::wraps`] counts the rewinds.
+///   the reader seeks back to the first chunk, mirroring the live
+///   generator's cyclic phase schedule, so replay is total at any
+///   instruction target. [`RecordedThread::wraps`] counts the rewinds.
 ///
-/// Corruption mid-replay panics either way; run [`validate_path`] up
-/// front to turn it into a readable error instead.
+/// Corruption found mid-replay panics either way, with a message naming
+/// the file and thread; that includes a record whose gap exceeds
+/// [`MAX_GAP`], which [`validate_path`] rejects up front. Run
+/// [`validate_path`] first to turn any of these into a readable error.
 #[derive(Debug)]
 pub struct RecordedThread {
-    reader: ReaderImpl,
+    reader: TraceReader<BufReader<File>>,
     path: PathBuf,
-    thread: usize,
-    /// Rewind count of the sequential reader (the pipelined reader
-    /// tracks its own).
-    seq_wraps: u64,
-}
-
-/// The two decode paths behind a [`RecordedThread`]: decode chunks
-/// inline as records are pulled, or ahead of time via a shared pool.
-#[derive(Debug)]
-enum ReaderImpl {
-    Sequential(TraceReader<BufReader<File>>),
-    Pipelined(PipelinedReader),
-}
-
-impl ReaderImpl {
-    fn info(&self) -> &TraceInfo {
-        match self {
-            ReaderImpl::Sequential(r) => r.info(),
-            ReaderImpl::Pipelined(p) => &p.info,
-        }
-    }
-
-    fn delivered(&self) -> u64 {
-        match self {
-            ReaderImpl::Sequential(r) => r.delivered(),
-            ReaderImpl::Pipelined(p) => p.delivered,
-        }
-    }
+    wraps: u64,
 }
 
 impl RecordedThread {
     /// Open `thread`'s stream of the container at `path`, decoding
-    /// chunks inline (sequentially) as records are pulled.
+    /// chunks inline as records are pulled.
     ///
     /// Errors if the thread has zero records: a cyclic replay would have
     /// nothing to cycle through (and would otherwise rewind forever), a
@@ -1204,26 +1043,17 @@ impl RecordedThread {
         Self::open_with(path, thread, None)
     }
 
-    /// [`RecordedThread::open`] with an optional shared [`DecodePool`];
-    /// with a pool, chunk decoding runs ahead of consumption on the
-    /// pool's workers (the record stream is identical either way).
-    pub fn open_with(
+    /// [`RecordedThread::open`], decoding on `pool` when one is given
+    /// (the record stream is identical either way).
+    pub(crate) fn open_with(
         path: impl AsRef<Path>,
         thread: usize,
         pool: Option<Arc<DecodePool>>,
     ) -> Result<Self, TraceError> {
         let path = path.as_ref().to_path_buf();
-        let reader = match pool {
-            Some(pool) => ReaderImpl::Pipelined(PipelinedReader::new(&path, thread, pool)?),
-            None => ReaderImpl::Sequential(TraceReader::new(
-                BufReader::new(File::open(&path)?),
-                thread,
-            )?),
-        };
-        let info = reader.info();
-        // repolint: allow(panic) — the reader constructor above rejects thread >= meta.threads() = records.len()
-        if info.records[thread] == 0 {
-            let cyclic = info.meta.insts == 0;
+        let reader = TraceReader::with_pool(BufReader::new(File::open(&path)?), thread, pool)?;
+        if reader.total == 0 {
+            let cyclic = reader.info.meta.insts == 0;
             return Err(TraceError::format(format!(
                 "thread {thread} of the recorded trace has no records{}",
                 if cyclic { " to cycle through" } else { "" }
@@ -1232,8 +1062,7 @@ impl RecordedThread {
         Ok(RecordedThread {
             reader,
             path,
-            thread,
-            seq_wraps: 0,
+            wraps: 0,
         })
     }
 
@@ -1245,73 +1074,61 @@ impl RecordedThread {
     /// How many times a cyclic (generator-streamed) replay has wrapped
     /// back to the start of its stream.
     pub fn wraps(&self) -> u64 {
-        match &self.reader {
-            ReaderImpl::Sequential(_) => self.seq_wraps,
-            ReaderImpl::Pipelined(p) => p.wraps(),
+        self.wraps
+    }
+
+    /// [`TraceSource::next_record`] for every step but an in-cap record:
+    /// a cyclic rewind, or a panic naming the file (`next_record` has no
+    /// error channel).
+    #[cold]
+    fn next_record_slow(&mut self, step: Result<Option<MemRecord>, TraceError>) -> MemRecord {
+        let step = match step {
+            Ok(None) if self.reader.info.meta.insts == 0 => {
+                self.wraps += 1;
+                self.reader.rewind().and_then(|()| self.reader.try_next())
+            }
+            step => step,
+        };
+        let thread = self.reader.thread;
+        match step {
+            Ok(Some(rec)) if rec.gap <= MAX_GAP => rec,
+            // repolint: allow(panic) — corruption found mid-replay; no Result channel in TraceSource
+            Ok(Some(rec)) => panic!(
+                "recorded trace {} thread {thread} record {} has a gap of {} instructions, \
+                 above the cap of {MAX_GAP}",
+                self.path.display(),
+                self.reader.delivered - 1,
+                rec.gap
+            ),
+            // repolint: allow(panic) — exhaustion is pre-checked against the engine's instruction target; no Result channel in TraceSource
+            Ok(None) => panic!(
+                "recorded trace {} exhausted for thread {thread} after {} records; \
+                 re-record with a larger --insts than the replay needs",
+                self.path.display(),
+                self.reader.delivered
+            ),
+            // repolint: allow(panic) — corruption found mid-replay; no Result channel in TraceSource
+            Err(e) => panic!(
+                "recorded trace {} failed for thread {thread}: {e}",
+                self.path.display()
+            ),
         }
     }
 }
 
 impl TraceSource for RecordedThread {
     fn next_record(&mut self) -> MemRecord {
-        loop {
-            let cyclic = self.reader.info().meta.insts == 0;
-            let step = match &mut self.reader {
-                ReaderImpl::Sequential(r) => r.try_next(),
-                ReaderImpl::Pipelined(p) => p.try_next(),
-            };
-            match step {
-                Ok(Some(rec)) => return rec,
-                Ok(None) if cyclic => {
-                    // Sequential cyclic replay: reopen at the start of
-                    // the stream (the pipelined reader rewinds its file
-                    // cursor internally and never reports a lap end).
-                    self.seq_wraps += 1;
-                    // TraceSource::next_record has no error channel: the file was
-                    // fully validated by validate_path before replay began, so a
-                    // failure here is the environment changing underneath us
-                    // (deleted/truncated file), not untrusted input.
-                    let file = File::open(&self.path).unwrap_or_else(|e| {
-                        // repolint: allow(panic) — post-validation environment failure; no Result channel in TraceSource
-                        panic!(
-                            "recorded trace {} vanished mid-replay: {e}",
-                            self.path.display()
-                        )
-                    });
-                    self.reader = ReaderImpl::Sequential(
-                        TraceReader::new(BufReader::new(file), self.thread).unwrap_or_else(|e| {
-                            // repolint: allow(panic) — post-validation environment failure; no Result channel in TraceSource
-                            panic!(
-                                "recorded trace {} failed on rewind for thread {}: {e}",
-                                self.path.display(),
-                                self.thread
-                            )
-                        }),
-                    );
-                }
-                // repolint: allow(panic) — exhaustion is pre-checked against the engine's instruction target; no Result channel in TraceSource
-                Ok(None) => panic!(
-                    "recorded trace {} exhausted for thread {} after {} records; \
-                     re-record with a larger --insts than the replay needs",
-                    self.path.display(),
-                    self.thread,
-                    self.reader.delivered()
-                ),
-                // repolint: allow(panic) — post-validation environment failure; no Result channel in TraceSource
-                Err(e) => panic!(
-                    "recorded trace {} failed for thread {}: {e}",
-                    self.path.display(),
-                    self.thread
-                ),
-            }
+        match self.reader.try_next() {
+            Ok(Some(rec)) if rec.gap <= MAX_GAP => rec,
+            step => self.next_record_slow(step),
         }
     }
 }
 
 /// Open one [`RecordedThread`] per recorded thread, plus the shared
 /// header — the bundle [`System::from_trace_scheme`](../../cmpsim/struct.System.html)
-/// plugs into the simulator. Decodes sequentially; see
-/// [`open_sources_with`] for the pipelined path.
+/// plugs into the simulator. Decodes inline; see [`open_sources_with`]
+/// for decode workers.
 pub fn open_sources(
     path: impl AsRef<Path>,
 ) -> Result<(TraceInfo, Vec<Box<dyn TraceSource>>), TraceError> {
@@ -1319,15 +1136,17 @@ pub fn open_sources(
 }
 
 /// [`open_sources`] with explicit [`DecodeOptions`]: a non-zero worker
-/// count spawns one [`DecodePool`] shared by all the returned sources
-/// (it shuts down when the last source is dropped).
+/// count spawns one pool of decode workers shared by all the returned
+/// sources (dropping the last source stops and joins the workers).
 pub fn open_sources_with(
     path: impl AsRef<Path>,
     opts: &DecodeOptions,
 ) -> Result<(TraceInfo, Vec<Box<dyn TraceSource>>), TraceError> {
     let path = path.as_ref();
     let info = load_info(path)?;
-    let pool = (opts.workers > 0).then(|| Arc::new(DecodePool::new(opts.workers)));
+    let pool = (opts.workers > 0)
+        .then(|| DecodePool::new(opts.workers).map(Arc::new))
+        .transpose()?;
     // repolint: allow(cap-alloc) — read_info already rejected threads > MAX_TRACE_THREADS
     let mut sources: Vec<Box<dyn TraceSource>> = Vec::with_capacity(info.meta.threads());
     for t in 0..info.meta.threads() {
@@ -1481,6 +1300,12 @@ mod tests {
         }
         assert!(r.try_next().unwrap().is_none());
         assert!(r.try_next().unwrap().is_none(), "None is sticky");
+        r.rewind().unwrap();
+        assert_eq!(r.delivered(), 0);
+        assert!(
+            r.try_next().unwrap().is_some(),
+            "rewind restarts the stream"
+        );
     }
 
     #[test]
@@ -1495,15 +1320,6 @@ mod tests {
         bytes[4] = 99;
         let err = read_info(&mut &bytes[..]).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let bytes = write_two_threads(&sample(1, 6000), &sample(2, 6000));
-        let cut = &bytes[..bytes.len() - 20];
-        let mut r = TraceReader::new(Cursor::new(cut), 1).unwrap();
-        let res = std::iter::from_fn(|| r.try_next().transpose()).collect::<Result<Vec<_>, _>>();
-        assert!(res.is_err(), "truncated stream must error");
     }
 
     #[test]
@@ -1561,33 +1377,6 @@ mod tests {
         let mut g = TraceGenerator::new(crate::benchmark("gzip").unwrap(), 11);
         let mut h = TraceGenerator::new(crate::benchmark("gzip").unwrap(), 11);
         assert_eq!(pull(&mut g), h.next_record());
-    }
-
-    #[test]
-    fn generator_streamed_traces_replay_cyclically() {
-        // meta.insts == 0 → cyclic: pulling past the end rewinds.
-        let n = 700usize;
-        let records = sample(13, n);
-        let m = TraceMeta {
-            insts: 0,
-            scheme: None,
-            ..meta(&["twolf"])
-        };
-        let mut w = TraceWriter::create(Cursor::new(Vec::new()), &m).unwrap();
-        for r in &records {
-            w.push(0, *r).unwrap();
-        }
-        let bytes = w.finish().unwrap().into_inner();
-        let path = std::env::temp_dir().join("plru_trace_cyclic_test.pltc");
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mut src = RecordedThread::open(&path, 0).unwrap();
-        let first: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
-        let second: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(first, records);
-        assert_eq!(second, records, "second lap replays the same stream");
-        assert_eq!(src.wraps(), 1);
     }
 
     #[test]
@@ -1716,19 +1505,26 @@ mod tests {
         assert!(err.to_string().contains("no records"), "{err}");
     }
 
+    /// The decode placements every replay test runs at: inline, and on
+    /// pools of one and several workers.
+    const PLACEMENTS: [usize; 3] = [0, 1, 4];
+
+    fn pool(workers: usize) -> Option<Arc<DecodePool>> {
+        (workers > 0).then(|| Arc::new(DecodePool::new(workers).unwrap()))
+    }
+
     #[test]
-    fn pipelined_replay_matches_sequential() {
+    fn replay_matches_the_recorded_streams_at_any_placement() {
         let a = sample(7, CHUNK_RECORDS * 3 + 100);
         let b = sample(8, CHUNK_RECORDS + 50);
         for compression in [Compression::None, Compression::Dict] {
             let bytes = write_two_threads_with(&a, &b, compression);
-            let path =
-                std::env::temp_dir().join(format!("plru_trace_pipelined_{compression:?}.pltc"));
+            let path = std::env::temp_dir().join(format!("plru_trace_replay_{compression:?}.pltc"));
             std::fs::write(&path, &bytes).unwrap();
-            for workers in [1, 4] {
-                let pool = Arc::new(DecodePool::new(workers));
+            for workers in PLACEMENTS {
+                let pool = pool(workers);
                 for (t, expect) in [(0, &a), (1, &b)] {
-                    let mut src = RecordedThread::open_with(&path, t, Some(pool.clone())).unwrap();
+                    let mut src = RecordedThread::open_with(&path, t, pool.clone()).unwrap();
                     let got: Vec<MemRecord> =
                         (0..expect.len()).map(|_| src.next_record()).collect();
                     assert_eq!(
@@ -1742,46 +1538,57 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_cyclic_replay_wraps_like_sequential() {
-        let n = 700usize;
-        let records = sample(13, n);
+    fn cyclic_replay_rewinds_the_open_handle() {
+        // meta.insts == 0 → cyclic: pulling past the end rewinds, on the
+        // handle opened at the start, so the file may go after one lap.
+        let a = sample(13, CHUNK_RECORDS * 2 + 300);
+        let b = sample(14, CHUNK_RECORDS + 700);
         let m = TraceMeta {
             insts: 0,
             scheme: None,
-            ..meta(&["twolf"])
+            ..meta(&["twolf", "gzip"])
         };
-        let mut w =
-            TraceWriter::create_with(Cursor::new(Vec::new()), &m, Compression::Dict).unwrap();
-        for r in &records {
-            w.push(0, *r).unwrap();
+        for workers in PLACEMENTS {
+            let mut w =
+                TraceWriter::create_with(Cursor::new(Vec::new()), &m, Compression::Dict).unwrap();
+            for (t, records) in [(0, &a), (1, &b)] {
+                for r in records {
+                    w.push(t, *r).unwrap();
+                }
+            }
+            let path = std::env::temp_dir().join(format!("plru_trace_cyclic_{workers}.pltc"));
+            std::fs::write(&path, w.finish().unwrap().into_inner()).unwrap();
+            let pool = pool(workers);
+            let mut srcs =
+                [0, 1].map(|t| RecordedThread::open_with(&path, t, pool.clone()).unwrap());
+            let mut lap = || -> Vec<Vec<MemRecord>> {
+                srcs.iter_mut()
+                    .zip([a.len(), b.len()])
+                    .map(|(src, n)| (0..n).map(|_| src.next_record()).collect())
+                    .collect()
+            };
+            let first = lap();
+            std::fs::remove_file(&path).unwrap();
+            let second = lap();
+            assert_eq!(first, [a.clone(), b.clone()], "{workers} workers");
+            assert_eq!(second, first, "second lap at {workers} workers");
+            assert_eq!(srcs.map(|s| s.wraps()), [1, 1], "{workers} workers");
         }
-        let bytes = w.finish().unwrap().into_inner();
-        let path = std::env::temp_dir().join("plru_trace_pipelined_cyclic.pltc");
-        std::fs::write(&path, &bytes).unwrap();
-
-        let pool = Arc::new(DecodePool::new(2));
-        let mut src = RecordedThread::open_with(&path, 0, Some(pool)).unwrap();
-        let first: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
-        let second: Vec<MemRecord> = (0..n).map(|_| src.next_record()).collect();
-        let wraps = src.wraps();
-        drop(src);
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(first, records);
-        assert_eq!(second, records, "second lap replays the same stream");
-        assert_eq!(wraps, 1);
     }
 
     #[test]
-    fn pipelined_truncation_is_detected() {
+    fn truncation_is_detected_at_any_placement() {
         let bytes = write_two_threads_with(&sample(1, 6000), &sample(2, 6000), Compression::Dict);
-        let path = std::env::temp_dir().join("plru_trace_pipelined_trunc.pltc");
-        std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
-        let pool = Arc::new(DecodePool::new(2));
-        let mut p = PipelinedReader::new(&path, 1, pool).unwrap();
-        let res = std::iter::from_fn(|| p.try_next().transpose()).collect::<Result<Vec<_>, _>>();
-        drop(p);
-        let _ = std::fs::remove_file(&path);
-        assert!(res.is_err(), "truncated stream must error");
+        let cut = &bytes[..bytes.len() - 20];
+        for workers in PLACEMENTS {
+            let mut r = TraceReader::with_pool(Cursor::new(cut), 1, pool(workers)).unwrap();
+            let res =
+                std::iter::from_fn(|| r.try_next().transpose()).collect::<Result<Vec<_>, _>>();
+            assert!(
+                res.is_err(),
+                "truncated stream must error at {workers} workers"
+            );
+        }
     }
 
     #[test]

@@ -154,6 +154,59 @@ fn v2_replay_is_bit_identical_to_v1_and_live_at_any_worker_count() {
 }
 
 #[test]
+fn replay_refuses_a_gap_above_the_generator_cap() {
+    // `validate_path` rejects such a container up front, but the library
+    // replay path reads only the header; the source itself must refuse
+    // the record, at either decode placement, naming where it sits.
+    use plru_repro::tracegen::trace::{TraceMeta, TraceWriter};
+    use plru_repro::tracegen::{MemRecord, MAX_GAP};
+
+    let path = tmp("plru_replay_gap_cap.pltc");
+    let meta = TraceMeta {
+        workload: "gzip".into(),
+        benchmarks: vec!["gzip".into()],
+        seed: 1,
+        seed_salt: 0,
+        insts: 0,
+        scheme: None,
+    };
+    let mut w = TraceWriter::create(std::fs::File::create(&path).unwrap(), &meta).unwrap();
+    for i in 0..8u64 {
+        let gap = if i == 0 { MAX_GAP + 1 } else { 3 };
+        let rec = MemRecord {
+            gap,
+            addr: i * 128,
+            is_write: false,
+        };
+        w.push(0, rec).unwrap();
+    }
+    w.finish().unwrap();
+
+    for workers in [0usize, 1] {
+        let engine = SimEngine::builder()
+            .cores(1)
+            .insts(2_000)
+            .decode_workers(workers)
+            .build();
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run_trace(&path)));
+        let Err(panic) = outcome else {
+            panic!("a gap above the cap replayed at {workers} decode workers");
+        };
+        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        let expected = [
+            path.display().to_string(),
+            "thread 0 record 0".to_string(),
+            format!("cap of {MAX_GAP}"),
+        ];
+        for part in expected {
+            assert!(msg.contains(&part), "{workers} workers: {msg}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn shipped_smoke_trace_is_current() {
     // The shipped container must be exactly what recording produces
     // today; a drift in the generator, the capture path or the format
