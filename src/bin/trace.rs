@@ -279,8 +279,8 @@ fn cmd_replay(args: &[String]) {
         .unwrap_or_else(|| "L".to_string());
     let seed = p.get_u64("seed").unwrap_or(meta.seed);
     let salt = p.get_u64("salt").unwrap_or(meta.seed_salt);
-    // Decode ahead of the simulation by default; 0 falls back to the
-    // inline sequential reader. Either way the result is bit-identical.
+    // Decode ahead of the simulation by default; 0 decodes each chunk
+    // inline. Either way the result is bit-identical.
     let decode_workers = p.get_u64("decode-workers").unwrap_or(2) as usize;
     let engine = engine_for(&scheme, meta.threads(), insts, seed, salt, decode_workers);
     let result = engine

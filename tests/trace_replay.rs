@@ -108,8 +108,8 @@ fn replay_beyond_the_recorded_target_is_a_readable_error() {
 fn v2_replay_is_bit_identical_to_v1_and_live_at_any_worker_count() {
     // The tentpole acceptance check: a dict-compressed v2 container must
     // replay to the exact SimResult of both the v1 container and live
-    // synthesis, whether decoded inline (0 workers) or through the
-    // parallel pipeline (1 and 4 workers).
+    // synthesis, whether decoded inline (0 workers) or on a pool of
+    // decode workers (1 and 4).
     use plru_repro::tracegen::trace::Compression;
 
     let wl = workload("2T_02").unwrap();
