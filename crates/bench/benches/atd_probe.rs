@@ -18,7 +18,8 @@
 
 use cachesim::CacheGeometry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use plru_core::sketch::{ProfilerFidelity, TagStore, TagStoreState};
+use plru_core::atd::AtdTags;
+use plru_core::ProfilerFidelity;
 
 /// L2 geometries at the two associativities; same 1024-set, 128-byte-line
 /// plane so only the way count differs.
@@ -42,9 +43,9 @@ fn addresses(n: usize) -> Vec<u64> {
 
 /// A store with every (set, way) resident, so probes measure the miss
 /// scan, not the invalid-way early-out.
-fn full_store(assoc: usize, fidelity: ProfilerFidelity) -> TagStoreState {
+fn full_store(assoc: usize, fidelity: ProfilerFidelity) -> AtdTags {
     let g = geom(assoc);
-    let mut store = TagStoreState::try_new(g, 1, fidelity).unwrap();
+    let mut store = AtdTags::new(g, 1, fidelity).unwrap();
     for set in 0..store.sampled_sets() {
         for way in 0..assoc {
             // Tags disjoint from the LCG stream's range: the drain misses.

@@ -4,8 +4,7 @@
 
 use cachesim::{CacheGeometry, PolicyKind};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use plru_core::profiler::ProfilerState;
-use plru_core::{NruUpdateMode, Profiler};
+use plru_core::{NruUpdateMode, Profiler, ProfilerFidelity};
 
 fn geom() -> CacheGeometry {
     CacheGeometry::new(2 * 1024 * 1024, 16, 128).unwrap()
@@ -29,7 +28,15 @@ fn bench_profilers(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("profiler_{label}"));
         for kind in [PolicyKind::Lru, PolicyKind::Nru, PolicyKind::Bt] {
             group.bench_function(format!("{kind:?}"), |b| {
-                let mut p = ProfilerState::new(kind, geom(), ratio, 0.75, NruUpdateMode::Scaled);
+                let mut p = Profiler::new(
+                    kind,
+                    geom(),
+                    ratio,
+                    0.75,
+                    NruUpdateMode::Scaled,
+                    ProfilerFidelity::Exact,
+                )
+                .unwrap();
                 b.iter(|| {
                     for &a in &addrs {
                         p.observe(black_box(a));

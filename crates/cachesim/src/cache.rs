@@ -124,17 +124,6 @@ pub struct BatchStats {
     pub cross_evictions: u64,
 }
 
-impl BatchStats {
-    /// Fold another batch summary into this one.
-    pub fn merge(&mut self, other: &BatchStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.cross_evictions += other.cross_evictions;
-    }
-}
-
 /// Ways per u64 word of the signature plane (one byte each).
 const SIG_LANES: usize = 8;
 /// Low bit of every byte lane.

@@ -113,7 +113,7 @@ pub struct CpaConfig {
     pub min_samples_per_thread: u64,
     /// Tag-store fidelity of the profiling ATDs: `None`/`Exact` keeps the
     /// paper's full tag rows, `Sketch { fp_bits }` swaps in the
-    /// cuckoo-filter membership sketch ([`crate::sketch::SketchAtd`]).
+    /// cuckoo-filter membership sketch ([`crate::atd::AtdTags`]).
     /// Optional so serialized configs from before the sketch existed
     /// still parse.
     pub fidelity: Option<ProfilerFidelity>,

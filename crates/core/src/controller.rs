@@ -4,7 +4,7 @@
 use crate::config::{CpaConfig, EnforcementStyle, Objective, Selector};
 use crate::enforce::{build_clustered_enforcement, equal_allocation};
 use crate::minmisses::{fairness_minimax, min_misses_dp, min_misses_greedy};
-use crate::profiler::{Profiler, ProfilerState};
+use crate::profiler::Profiler;
 use cachesim::{Addr, CacheError, CacheGeometry, Enforcement};
 
 /// Dynamic cache-partitioning controller for one shared L2.
@@ -55,7 +55,7 @@ pub struct CpaController {
     /// Partitioned entities: the core count at paper scale, `assoc / 2`
     /// when more cores than ways share the cache.
     clusters: usize,
-    profilers: Vec<ProfilerState>,
+    profilers: Vec<Profiler>,
     /// Ways per cluster.
     allocation: Vec<usize>,
     /// Allocation decided at each interval boundary (for analysis).
@@ -73,8 +73,9 @@ impl CpaController {
 
     /// Build a controller, surfacing invalid combinations (zero cores,
     /// owner counters with more cores than ways, a sample ratio leaving
-    /// no sampled set, an unsupported sketch fingerprint width) as
-    /// one-line errors config parsing can report.
+    /// no sampled set, an unsupported sketch fingerprint width, an NRU
+    /// scale outside `(0, 1]`) as one-line errors config parsing can
+    /// report.
     pub fn try_new(
         config: CpaConfig,
         geom: CacheGeometry,
@@ -101,23 +102,19 @@ impl CpaController {
                 ),
             });
         }
-        let profilers = (0..num_cores)
-            .map(|_| {
-                ProfilerState::try_new(
-                    config.policy,
-                    geom,
-                    config.sample_ratio,
-                    config.nru_scale,
-                    config.nru_update,
-                    config.fidelity(),
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let profiler = Profiler::new(
+            config.policy,
+            geom,
+            config.sample_ratio,
+            config.nru_scale,
+            config.nru_update,
+            config.fidelity(),
+        )?;
         let allocation = equal_allocation(clusters, geom.assoc());
         Ok(CpaController {
             assoc: geom.assoc(),
             clusters,
-            profilers,
+            profilers: vec![profiler; num_cores],
             allocation,
             history: Vec::new(),
             intervals: 0,
@@ -240,12 +237,12 @@ impl CpaController {
             if observed < 1.0 || predicted < 1.0 {
                 continue;
             }
-            let Some(nru) = p.as_nru_mut() else { return };
+            let Some(scale) = p.nru_scale() else { return };
             let err = predicted / observed;
             if err < 1.0 - DEADBAND {
-                nru.set_scale(nru.scale() + STEP);
+                p.set_nru_scale(scale + STEP);
             } else if err > 1.0 + DEADBAND {
-                nru.set_scale(nru.scale() - STEP);
+                p.set_nru_scale(scale - STEP);
             }
         }
     }
@@ -267,7 +264,7 @@ impl CpaController {
     }
 
     /// The per-thread profilers (for inspection).
-    pub fn profilers(&self) -> &[ProfilerState] {
+    pub fn profilers(&self) -> &[Profiler] {
         &self.profilers
     }
 
@@ -476,6 +473,19 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("use an M-* scheme"), "unexpected error: {msg}");
         assert!(!msg.contains('\n'), "error must be one line");
+    }
+
+    #[test]
+    fn bad_nru_scales_are_one_line_errors() {
+        for scale in [1.5, 0.0, f64::NAN] {
+            let mut cfg = CpaConfig::m_nru(0.75);
+            cfg.nru_scale = scale;
+            let msg = CpaController::try_new(cfg, geom(), 2)
+                .unwrap_err()
+                .to_string();
+            assert!(msg.contains("outside (0, 1]"), "unexpected error: {msg}");
+            assert!(!msg.contains('\n'), "error must be one line");
+        }
     }
 
     #[test]

@@ -9,16 +9,16 @@
 //!
 //! The moving parts mirror the paper's Section II/III decomposition:
 //!
-//! * **Profiling logic** — a per-thread sampled Auxiliary Tag Directory
-//!   ([`atd`]) feeding a Stack Distance Histogram ([`sdh::Sdh`]).
-//!   * under true LRU the ATD reports exact stack positions
-//!     ([`profiler::LruProfiler`]);
+//! * **Profiling logic** ([`profiler::Profiler`]) — a per-thread sampled
+//!   Auxiliary Tag Directory ([`atd::AtdTags`], exact tag rows or the
+//!   cuckoo-filter sketch of [`sketch`]) feeding a Stack Distance
+//!   Histogram ([`sdh::Sdh`]). The three policies differ only in the
+//!   stack distance an ATD hit records:
+//!   * under true LRU the ATD reports exact stack positions;
 //!   * under NRU the stack position is *estimated* from the number of set
-//!     used bits, with a scaling factor `S` ([`profiler::NruProfiler`],
-//!     Section III-A);
+//!     used bits, with a scaling factor `S` (Section III-A);
 //!   * under BT it is estimated by XOR-ing the accessed way's identifier
-//!     bits with the tree bits on its path ([`profiler::BtProfiler`],
-//!     Section III-B).
+//!     bits with the tree bits on its path (Section III-B).
 //! * **Partition selection** — the MinMisses algorithm ([`minmisses`]),
 //!   both as an exact dynamic program and as the classical greedy
 //!   marginal-gain heuristic.
@@ -52,7 +52,7 @@ pub mod sketch;
 pub use config::{CpaConfig, EnforcementStyle, NruUpdateMode, Objective, Selector};
 pub use controller::CpaController;
 pub use minmisses::{fairness_minimax, min_misses_dp, min_misses_greedy};
-pub use profiler::{BtProfiler, LruProfiler, NruProfiler, Profiler, ProfilerState};
+pub use profiler::Profiler;
 pub use scheme::{PolicyEntry, Scheme, SchemeError};
 pub use sdh::Sdh;
-pub use sketch::{CuckooFilter, ProfilerFidelity, SketchAtd, TagStore, TagStoreState};
+pub use sketch::{CuckooFilter, ProfilerFidelity};

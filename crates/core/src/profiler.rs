@@ -1,508 +1,240 @@
-//! The three profiling logics: exact SDH under LRU, and the paper's two
+//! The profiling logic: exact SDH under LRU, and the paper's two
 //! estimated-SDH (eSDH) proposals for NRU and BT.
 //!
-//! Every profiler owns a sampled tag store ([`TagStoreState`]: exact
-//! [`crate::atd::AtdTags`] or the cuckoo-filter [`crate::sketch::SketchAtd`],
-//! per the scheme's [`ProfilerFidelity`]) plus the replacement metadata
-//! of its policy, and feeds one [`Sdh`]. The ATD always runs the *same*
-//! replacement policy as the L2 (the paper applies NRU/BT "to both the L2
-//! cache and ATDs") and is never partitioned — it models the thread running
-//! alone with the whole cache.
+//! A [`Profiler`] owns one thread's sampled tag store ([`AtdTags`], exact
+//! or sketch per the scheme's [`ProfilerFidelity`]) plus the replacement
+//! metadata of its policy, and feeds one [`Sdh`]. The ATD always runs the
+//! *same* replacement policy as the L2 (the paper applies NRU/BT "to both
+//! the L2 cache and ATDs") and is never partitioned — it models the thread
+//! running alone with the whole cache.
+//!
+//! Sampling, lookup, fill, victim choice and the SDH are the same for the
+//! three policies; they differ in the stack distance an ATD hit records:
+//!
+//! * **LRU** (Section II-A): the exact stack position, read before
+//!   promotion.
+//! * **NRU** (Section III-A): on a hit whose used bit is already 1 the
+//!   true distance lies in `[1, U]` (`U` = set used bits, including the
+//!   accessed line); the profiler records `ceil(S * U)` with scaling
+//!   factor `S`. On a hit whose used bit is 0 the distance lies in
+//!   `[U+1, A]`; the paper leaves the SDH unchanged ("increasing all of
+//!   them does not change the shape of the miss curve").
+//! * **BT** (Section III-B): the accessed way's identifier bits (the
+//!   path-bit values that would make it the pseudo-LRU victim —
+//!   numerically its index bits, Figure 4(c)) are XOR-ed with the tree
+//!   bits on its path; the estimate is `A - (path_bits XOR ID)`
+//!   (Figure 4(b)): 1 when the line was just accessed, `A` when it is
+//!   the current victim.
 
+use crate::atd::AtdTags;
 use crate::config::NruUpdateMode;
 use crate::sdh::Sdh;
-use crate::sketch::{ProfilerFidelity, TagStore, TagStoreState};
+use crate::sketch::ProfilerFidelity;
 use cachesim::policy::{Bt, Lru, Nru};
 use cachesim::{Addr, CacheError, CacheGeometry, PolicyKind, WayMask};
 
-/// Common interface of the three profiling logics.
-pub trait Profiler {
-    /// Observe one L2 access of the owning thread (the profiler decides
-    /// internally whether the set is sampled).
-    fn observe(&mut self, addr: Addr);
-
-    /// The thread's (e)SDH.
-    fn sdh(&self) -> &Sdh;
-
-    /// Interval-boundary decay (halve the SDH registers).
-    fn decay(&mut self);
-
-    /// Clear ATD content and SDH.
-    fn reset(&mut self);
-
-    /// Accesses that actually probed the ATD (sampled-set hits+misses).
-    fn observed(&self) -> u64;
-}
-
-// ---------------------------------------------------------------------
-// LRU: exact stack distances (the classical Mattson/Qureshi profiler).
-// ---------------------------------------------------------------------
-
-/// Exact SDH profiler for true LRU (Section II-A).
+/// One thread's profiling logic: a sampled ATD under the L2's policy,
+/// feeding the thread's (e)SDH.
 #[derive(Debug, Clone)]
-pub struct LruProfiler {
-    tags: TagStoreState,
-    lru: Lru,
+pub struct Profiler {
+    tags: AtdTags,
+    logic: Logic,
     sdh: Sdh,
     observed: u64,
     full: WayMask,
 }
 
-impl LruProfiler {
-    /// Build for an L2 of shape `geom`, sampling 1 in `sample_ratio` sets,
-    /// with the exact tag store. Panics on an invalid shape; the validated
-    /// path is [`Self::try_new`].
-    pub fn new(geom: CacheGeometry, sample_ratio: usize) -> Self {
-        Self::try_new(geom, sample_ratio, ProfilerFidelity::Exact).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build with an explicit tag-store fidelity, surfacing shape errors
-    /// as one-line values.
-    pub fn try_new(
-        geom: CacheGeometry,
-        sample_ratio: usize,
-        fidelity: ProfilerFidelity,
-    ) -> Result<Self, CacheError> {
-        let tags = TagStoreState::try_new(geom, sample_ratio, fidelity)?;
-        Ok(LruProfiler {
-            lru: Lru::new(tags.sampled_sets(), geom.assoc()),
-            sdh: Sdh::new(geom.assoc()),
-            observed: 0,
-            full: WayMask::full(geom.assoc()),
-            tags,
-        })
-    }
-
-    /// The tag store backing this profiler's ATD.
-    pub fn tags(&self) -> &TagStoreState {
-        &self.tags
-    }
-}
-
-impl Profiler for LruProfiler {
-    fn observe(&mut self, addr: Addr) {
-        let Some(aset) = self.tags.sampled_set(addr) else {
-            return;
-        };
-        self.observed += 1;
-        let tag = self.tags.tag(addr);
-        match self.tags.lookup(aset, tag) {
-            Some(way) => {
-                // Exact stack position, read before promotion.
-                self.sdh.record(self.lru.stack_position(aset, way));
-                self.lru.on_access(aset, way);
-            }
-            None => {
-                self.sdh.record_miss();
-                let way = self
-                    .tags
-                    .invalid_way(aset)
-                    .unwrap_or_else(|| self.lru.victim(aset, self.full));
-                self.tags.fill(aset, way, tag);
-                self.lru.on_access(aset, way);
-            }
-        }
-    }
-
-    fn sdh(&self) -> &Sdh {
-        &self.sdh
-    }
-
-    fn decay(&mut self) {
-        self.sdh.decay();
-    }
-
-    fn reset(&mut self) {
-        self.tags.reset();
-        self.lru.reset();
-        self.sdh.reset();
-        self.observed = 0;
-    }
-
-    fn observed(&self) -> u64 {
-        self.observed
-    }
-}
-
-// ---------------------------------------------------------------------
-// NRU: estimated SDH from used-bit counts (Section III-A).
-// ---------------------------------------------------------------------
-
-/// eSDH profiler for NRU.
-///
-/// On a hit whose used bit is already 1 the true stack distance lies in
-/// `[1, U]` (`U` = number of set used bits, including the accessed line);
-/// the profiler assumes `ceil(S * U)` with scaling factor `S`. On a hit
-/// whose used bit is 0 the distance lies in `[U+1, A]`; the paper leaves
-/// the SDH unchanged ("increasing all of them does not change the shape of
-/// the miss curve"). ATD misses increment `r_{A+1}` as usual.
+/// The ATD's replacement metadata, one arm per policy the paper profiles.
 #[derive(Debug, Clone)]
-pub struct NruProfiler {
-    tags: TagStoreState,
-    nru: Nru,
-    sdh: Sdh,
-    scale: f64,
-    mode: NruUpdateMode,
-    observed: u64,
-    full: WayMask,
-}
-
-impl NruProfiler {
-    /// Build with eSDH scaling factor `scale` (the paper evaluates 1.0,
-    /// 0.75, 0.5) and the given hit-update mode, on the exact tag store.
-    /// Panics on an invalid shape; the validated path is [`Self::try_new`].
-    pub fn new(geom: CacheGeometry, sample_ratio: usize, scale: f64, mode: NruUpdateMode) -> Self {
-        Self::try_new(geom, sample_ratio, scale, mode, ProfilerFidelity::Exact)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build with an explicit tag-store fidelity, surfacing shape errors
-    /// as one-line values.
-    pub fn try_new(
-        geom: CacheGeometry,
-        sample_ratio: usize,
+enum Logic {
+    Lru(Lru),
+    Nru {
+        nru: Nru,
         scale: f64,
         mode: NruUpdateMode,
-        fidelity: ProfilerFidelity,
-    ) -> Result<Self, CacheError> {
-        assert!(scale > 0.0 && scale <= 1.0);
-        let tags = TagStoreState::try_new(geom, sample_ratio, fidelity)?;
-        Ok(NruProfiler {
-            nru: Nru::new(tags.sampled_sets(), geom.assoc()),
-            sdh: Sdh::new(geom.assoc()),
-            scale,
-            mode,
-            observed: 0,
-            full: WayMask::full(geom.assoc()),
-            tags,
-        })
-    }
-
-    /// The tag store backing this profiler's ATD.
-    pub fn tags(&self) -> &TagStoreState {
-        &self.tags
-    }
-
-    /// The estimated distance for a used-bit hit given `U` set bits:
-    /// `ceil(S * U)`, clamped to at least 1 ("if S×U does not result in an
-    /// integer number, we select the closest upper integer").
-    #[inline]
-    pub fn scaled_distance(&self, u: usize) -> usize {
-        ((self.scale * u as f64).ceil() as usize).max(1)
-    }
-
-    /// The current scaling factor.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Update the scaling factor (used by the adaptive-scale extension);
-    /// clamped to `(0, 1]`.
-    pub fn set_scale(&mut self, scale: f64) {
-        self.scale = scale.clamp(0.05, 1.0);
-    }
+    },
+    Bt(Bt),
 }
 
-impl Profiler for NruProfiler {
-    fn observe(&mut self, addr: Addr) {
-        let Some(aset) = self.tags.sampled_set(addr) else {
-            return;
-        };
-        self.observed += 1;
-        let tag = self.tags.tag(addr);
-        match self.tags.lookup(aset, tag) {
-            Some(way) => {
-                if self.nru.is_used(aset, way) {
-                    // Distance within [1, U]: estimate ceil(S*U).
-                    let u = self.nru.used_count(aset);
-                    match self.mode {
-                        NruUpdateMode::Scaled => self.sdh.record(self.scaled_distance(u)),
-                        NruUpdateMode::Smear => {
-                            for d in 1..=u {
-                                self.sdh.record(d);
-                            }
-                        }
-                    }
-                }
-                // Used bit 0: distance within [U+1, A] — no SDH update.
-                self.nru.on_access(aset, way, self.full);
-            }
-            None => {
-                self.sdh.record_miss();
-                let way = self
-                    .tags
-                    .invalid_way(aset)
-                    .unwrap_or_else(|| self.nru.victim(aset, self.full));
-                self.tags.fill(aset, way, tag);
-                self.nru.on_access(aset, way, self.full);
-            }
-        }
-    }
-
-    fn sdh(&self) -> &Sdh {
-        &self.sdh
-    }
-
-    fn decay(&mut self) {
-        self.sdh.decay();
-    }
-
-    fn reset(&mut self) {
-        self.tags.reset();
-        self.nru.reset();
-        self.sdh.reset();
-        self.observed = 0;
-    }
-
-    fn observed(&self) -> u64 {
-        self.observed
-    }
+/// The NRU estimate for a used-bit hit with `U` set bits: `ceil(S * U)`,
+/// clamped to at least 1 ("if S×U does not result in an integer number,
+/// we select the closest upper integer").
+#[inline]
+pub fn scaled_distance(scale: f64, u: usize) -> usize {
+    ((scale * u as f64).ceil() as usize).max(1)
 }
 
-// ---------------------------------------------------------------------
-// BT: estimated SDH from identifier-bit XOR (Section III-B).
-// ---------------------------------------------------------------------
-
-/// eSDH profiler for Binary-Tree pseudo-LRU.
-///
-/// For the accessed way `w` the decoder derives the identifier bits (the
-/// path-bit values that would make `w` the pseudo-LRU victim — numerically
-/// just `w`'s index bits, Figure 4(c)). The estimated stack position is
-/// `A - (path_bits XOR ID)` (Figure 4(b)): 1 when the line was just
-/// accessed, `A` when it is the current victim.
-#[derive(Debug, Clone)]
-pub struct BtProfiler {
-    tags: TagStoreState,
-    bt: Bt,
-    sdh: Sdh,
-    observed: u64,
-}
-
-impl BtProfiler {
-    /// Build for an L2 of shape `geom` (power-of-two associativity) on
-    /// the exact tag store. Panics on an invalid shape; the validated
-    /// path is [`Self::try_new`].
-    pub fn new(geom: CacheGeometry, sample_ratio: usize) -> Self {
-        Self::try_new(geom, sample_ratio, ProfilerFidelity::Exact).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build with an explicit tag-store fidelity, surfacing shape errors
-    /// as one-line values.
-    pub fn try_new(
-        geom: CacheGeometry,
-        sample_ratio: usize,
-        fidelity: ProfilerFidelity,
-    ) -> Result<Self, CacheError> {
-        let tags = TagStoreState::try_new(geom, sample_ratio, fidelity)?;
-        Ok(BtProfiler {
-            bt: Bt::new(tags.sampled_sets(), geom.assoc()),
-            sdh: Sdh::new(geom.assoc()),
-            observed: 0,
-            tags,
-        })
-    }
-
-    /// The tag store backing this profiler's ATD.
-    pub fn tags(&self) -> &TagStoreState {
-        &self.tags
-    }
-
-    /// The estimated stack position of way `way` in ATD set `aset`.
-    #[inline]
-    pub fn estimated_position(&self, aset: usize, way: usize) -> usize {
-        let id = way as u32; // the Figure 4(c) decoder
-        let x = self.bt.path_bits(aset, way) ^ id;
-        self.bt.assoc() - x as usize
-    }
-}
-
-impl Profiler for BtProfiler {
-    fn observe(&mut self, addr: Addr) {
-        let Some(aset) = self.tags.sampled_set(addr) else {
-            return;
-        };
-        self.observed += 1;
-        let tag = self.tags.tag(addr);
-        match self.tags.lookup(aset, tag) {
-            Some(way) => {
-                let d = self.estimated_position(aset, way);
-                self.sdh.record(d);
-                self.bt.on_access(aset, way);
-            }
-            None => {
-                self.sdh.record_miss();
-                let way = self
-                    .tags
-                    .invalid_way(aset)
-                    .unwrap_or_else(|| self.bt.victim(aset));
-                self.tags.fill(aset, way, tag);
-                self.bt.on_access(aset, way);
-            }
-        }
-    }
-
-    fn sdh(&self) -> &Sdh {
-        &self.sdh
-    }
-
-    fn decay(&mut self) {
-        self.sdh.decay();
-    }
-
-    fn reset(&mut self) {
-        self.tags.reset();
-        self.bt.reset();
-        self.sdh.reset();
-        self.observed = 0;
-    }
-
-    fn observed(&self) -> u64 {
-        self.observed
-    }
-}
-
-// ---------------------------------------------------------------------
-// Dispatch
-// ---------------------------------------------------------------------
-
-/// Enum dispatch over the three profilers.
-#[derive(Debug, Clone)]
-pub enum ProfilerState {
-    /// Exact SDH under LRU.
-    Lru(LruProfiler),
-    /// eSDH under NRU.
-    Nru(NruProfiler),
-    /// eSDH under BT.
-    Bt(BtProfiler),
-}
-
-impl ProfilerState {
-    /// The NRU profiler inside, if this is one.
-    pub fn as_nru_mut(&mut self) -> Option<&mut NruProfiler> {
-        match self {
-            ProfilerState::Nru(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The NRU scaling factor, if this is an NRU profiler.
-    pub fn nru_scale(&self) -> Option<f64> {
-        match self {
-            ProfilerState::Nru(p) => Some(p.scale()),
-            _ => None,
-        }
-    }
-
-    /// Build the profiler matching an L2 replacement policy on the exact
-    /// tag store. Panics for `Random`/`FIFO` (the paper defines no
-    /// profiling logic for them); the validated path is
-    /// [`Self::try_new`].
+impl Profiler {
+    /// Build the profiler matching an L2 replacement policy for an L2 of
+    /// shape `geom`, sampling 1 in `sample_ratio` sets at the given
+    /// tag-store fidelity. `nru_scale` (the paper evaluates 1.0, 0.75 and
+    /// 0.5) and `nru_mode` only matter for NRU. Invalid combinations —
+    /// `Random`/`FIFO` (the paper defines no profiling logic for them),
+    /// an NRU scale outside `(0, 1]`, an associativity the policy cannot
+    /// run, or a bad sample ratio or fingerprint width — are one-line
+    /// errors.
     pub fn new(
         kind: PolicyKind,
         geom: CacheGeometry,
         sample_ratio: usize,
         nru_scale: f64,
         nru_mode: NruUpdateMode,
-    ) -> Self {
-        Self::try_new(
-            kind,
-            geom,
-            sample_ratio,
-            nru_scale,
-            nru_mode,
-            ProfilerFidelity::Exact,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build the profiler matching an L2 replacement policy at a given
-    /// tag-store fidelity, surfacing invalid combinations as one-line
-    /// errors.
-    pub fn try_new(
-        kind: PolicyKind,
-        geom: CacheGeometry,
-        sample_ratio: usize,
-        nru_scale: f64,
-        nru_mode: NruUpdateMode,
         fidelity: ProfilerFidelity,
     ) -> Result<Self, CacheError> {
-        match kind {
-            PolicyKind::Lru => Ok(ProfilerState::Lru(LruProfiler::try_new(
-                geom,
-                sample_ratio,
-                fidelity,
-            )?)),
-            PolicyKind::Nru => Ok(ProfilerState::Nru(NruProfiler::try_new(
-                geom,
-                sample_ratio,
-                nru_scale,
-                nru_mode,
-                fidelity,
-            )?)),
-            PolicyKind::Bt => Ok(ProfilerState::Bt(BtProfiler::try_new(
-                geom,
-                sample_ratio,
-                fidelity,
-            )?)),
-            PolicyKind::Random | PolicyKind::Fifo => Err(CacheError::BadPartition {
-                reason: format!(
-                    "no profiling logic exists for {} replacement \
-                     (the scheme registry rejects partitioned {} at parse time)",
-                    kind.acronym(),
-                    kind.acronym()
-                ),
-            }),
+        if kind == PolicyKind::Nru && !(nru_scale > 0.0 && nru_scale <= 1.0) {
+            return Err(CacheError::BadPartition {
+                reason: format!("NRU eSDH scale {nru_scale} outside (0, 1]"),
+            });
         }
+        let assoc = geom.assoc();
+        kind.validate_assoc(assoc)?;
+        let tags = AtdTags::new(geom, sample_ratio, fidelity)?;
+        let sets = tags.sampled_sets();
+        let logic = match kind {
+            PolicyKind::Lru => Logic::Lru(Lru::new(sets, assoc)),
+            PolicyKind::Nru => Logic::Nru {
+                nru: Nru::new(sets, assoc),
+                scale: nru_scale,
+                mode: nru_mode,
+            },
+            PolicyKind::Bt => Logic::Bt(Bt::new(sets, assoc)),
+            PolicyKind::Random | PolicyKind::Fifo => {
+                return Err(CacheError::BadPartition {
+                    reason: format!(
+                        "no profiling logic exists for {} replacement \
+                         (the scheme registry rejects partitioned {} at parse time)",
+                        kind.acronym(),
+                        kind.acronym()
+                    ),
+                })
+            }
+        };
+        Ok(Profiler {
+            tags,
+            logic,
+            sdh: Sdh::new(assoc),
+            observed: 0,
+            full: WayMask::full(assoc),
+        })
+    }
+
+    /// Observe one L2 access of the owning thread (accesses to unsampled
+    /// sets are ignored).
+    #[inline]
+    pub fn observe(&mut self, addr: Addr) {
+        let Some(aset) = self.tags.sampled_set(addr) else {
+            return;
+        };
+        self.observed += 1;
+        let tag = self.tags.tag(addr);
+        let way = match self.tags.lookup(aset, tag) {
+            Some(way) => {
+                self.record_hit(aset, way);
+                way
+            }
+            None => {
+                self.sdh.record_miss();
+                let way = self
+                    .tags
+                    .invalid_way(aset)
+                    .unwrap_or_else(|| self.victim(aset));
+                self.tags.fill(aset, way, tag);
+                way
+            }
+        };
+        self.touch(aset, way);
+    }
+
+    /// Record the stack distance of an ATD hit on `way`, read before the
+    /// access updates the replacement state.
+    #[inline]
+    fn record_hit(&mut self, aset: usize, way: usize) {
+        match &self.logic {
+            Logic::Lru(lru) => self.sdh.record(lru.stack_position(aset, way)),
+            Logic::Nru { nru, scale, mode } => {
+                // Used bit 0: distance within [U+1, A] — no SDH update.
+                if nru.is_used(aset, way) {
+                    let u = nru.used_count(aset);
+                    match mode {
+                        NruUpdateMode::Scaled => self.sdh.record(scaled_distance(*scale, u)),
+                        NruUpdateMode::Smear => (1..=u).for_each(|d| self.sdh.record(d)),
+                    }
+                }
+            }
+            Logic::Bt(bt) => {
+                // `way`'s index bits are its identifier (the Figure 4(c)
+                // decoder).
+                let x = bt.path_bits(aset, way) ^ way as u32;
+                self.sdh.record(bt.assoc() - x as usize);
+            }
+        }
+    }
+
+    /// The way an ATD miss replaces in a full set.
+    #[inline]
+    fn victim(&mut self, aset: usize) -> usize {
+        match &mut self.logic {
+            Logic::Lru(lru) => lru.victim(aset, self.full),
+            Logic::Nru { nru, .. } => nru.victim(aset, self.full),
+            Logic::Bt(bt) => bt.victim(aset),
+        }
+    }
+
+    /// Update the replacement state for an access (hit or fill) to `way`.
+    #[inline]
+    fn touch(&mut self, aset: usize, way: usize) {
+        match &mut self.logic {
+            Logic::Lru(lru) => lru.on_access(aset, way),
+            Logic::Nru { nru, .. } => nru.on_access(aset, way, self.full),
+            Logic::Bt(bt) => bt.on_access(aset, way),
+        }
+    }
+
+    /// The thread's (e)SDH.
+    pub fn sdh(&self) -> &Sdh {
+        &self.sdh
+    }
+
+    /// Interval-boundary decay (halve the SDH registers).
+    pub fn decay(&mut self) {
+        self.sdh.decay();
+    }
+
+    /// Clear ATD content, replacement state and SDH.
+    pub fn reset(&mut self) {
+        self.tags.reset();
+        match &mut self.logic {
+            Logic::Lru(lru) => lru.reset(),
+            Logic::Nru { nru, .. } => nru.reset(),
+            Logic::Bt(bt) => bt.reset(),
+        }
+        self.sdh.reset();
+        self.observed = 0;
+    }
+
+    /// Accesses that actually probed the ATD (sampled-set hits+misses).
+    pub fn observed(&self) -> u64 {
+        self.observed
     }
 
     /// The tag-store fidelity this profiler runs at.
     pub fn fidelity(&self) -> ProfilerFidelity {
-        match self {
-            ProfilerState::Lru(p) => p.tags.fidelity(),
-            ProfilerState::Nru(p) => p.tags.fidelity(),
-            ProfilerState::Bt(p) => p.tags.fidelity(),
-        }
+        self.tags.fidelity()
     }
-}
 
-impl Profiler for ProfilerState {
-    fn observe(&mut self, addr: Addr) {
-        match self {
-            ProfilerState::Lru(p) => p.observe(addr),
-            ProfilerState::Nru(p) => p.observe(addr),
-            ProfilerState::Bt(p) => p.observe(addr),
+    /// The NRU scaling factor, if this is an NRU profiler.
+    pub fn nru_scale(&self) -> Option<f64> {
+        match self.logic {
+            Logic::Nru { scale, .. } => Some(scale),
+            _ => None,
         }
     }
 
-    fn sdh(&self) -> &Sdh {
-        match self {
-            ProfilerState::Lru(p) => p.sdh(),
-            ProfilerState::Nru(p) => p.sdh(),
-            ProfilerState::Bt(p) => p.sdh(),
-        }
-    }
-
-    fn decay(&mut self) {
-        match self {
-            ProfilerState::Lru(p) => p.decay(),
-            ProfilerState::Nru(p) => p.decay(),
-            ProfilerState::Bt(p) => p.decay(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            ProfilerState::Lru(p) => p.reset(),
-            ProfilerState::Nru(p) => p.reset(),
-            ProfilerState::Bt(p) => p.reset(),
-        }
-    }
-
-    fn observed(&self) -> u64 {
-        match self {
-            ProfilerState::Lru(p) => p.observed(),
-            ProfilerState::Nru(p) => p.observed(),
-            ProfilerState::Bt(p) => p.observed(),
+    /// Update the NRU scaling factor (the adaptive-scale extension),
+    /// clamped to `[0.05, 1]`; a no-op for LRU and BT.
+    pub fn set_nru_scale(&mut self, new: f64) {
+        if let Logic::Nru { scale, .. } = &mut self.logic {
+            *scale = new.clamp(0.05, 1.0);
         }
     }
 }
@@ -516,6 +248,22 @@ mod tests {
         CacheGeometry::new(1024, 4, 64).unwrap()
     }
 
+    fn exact(kind: PolicyKind, geom: CacheGeometry, scale: f64, mode: NruUpdateMode) -> Profiler {
+        Profiler::new(kind, geom, 1, scale, mode, ProfilerFidelity::Exact).unwrap()
+    }
+
+    fn lru(geom: CacheGeometry) -> Profiler {
+        exact(PolicyKind::Lru, geom, 1.0, NruUpdateMode::Scaled)
+    }
+
+    fn nru(scale: f64, mode: NruUpdateMode) -> Profiler {
+        exact(PolicyKind::Nru, tiny_geom(), scale, mode)
+    }
+
+    fn bt(geom: CacheGeometry) -> Profiler {
+        exact(PolicyKind::Bt, geom, 1.0, NruUpdateMode::Scaled)
+    }
+
     /// Byte address of the n-th distinct line mapping to set `set`.
     fn addr_in_set(set: usize, n: u64) -> Addr {
         ((n << 2) | set as u64) << 6
@@ -523,7 +271,7 @@ mod tests {
 
     #[test]
     fn lru_profiler_reproduces_figure_2() {
-        let mut p = LruProfiler::new(tiny_geom(), 1);
+        let mut p = lru(tiny_geom());
         // Fill {A,B,C,D} = lines 0..4 of set 0 (4 compulsory misses).
         for n in 0..4 {
             p.observe(addr_in_set(0, n));
@@ -544,7 +292,7 @@ mod tests {
         // real w-way LRU cache's misses on the same trace.
         use cachesim::{Cache, CacheConfig};
         let geom = tiny_geom();
-        let mut p = LruProfiler::new(geom, 1);
+        let mut p = lru(geom);
         // A pseudo-random but deterministic trace over 12 lines.
         let trace: Vec<Addr> = (0..4000u64)
             .map(|i| addr_in_set((i % 4) as usize, (i * 7 + i * i / 5) % 12))
@@ -577,22 +325,15 @@ mod tests {
 
     #[test]
     fn nru_profiler_estimates_figure_3a() {
-        // Figure 3(a): lines {A,B,C,D} resident, used bits cleared, then
-        // accesses C, D, D. Third access finds D's used bit 1 with U=2:
-        // estimated distance S*U = 2 at S=1.0.
-        let mut p = NruProfiler::new(tiny_geom(), 1, 1.0, NruUpdateMode::Scaled);
+        // Figure 3(a): lines {A,B,C,D} resident, then accesses C, D. After
+        // the 4 fills the saturation reset fired on the 4th: only line 3
+        // has its bit set. Access C (line 2, bit 0 -> no update), then D
+        // (line 3, bit 1, U=2 after C set its bit): estimated distance
+        // S*U = 2 at S=1.0.
+        let mut p = nru(1.0, NruUpdateMode::Scaled);
         for n in 0..4 {
             p.observe(addr_in_set(0, n));
         }
-        // Saturation rule left only line 3's bit set; clear state by a
-        // fresh profiler instead for exactness.
-        let mut p = NruProfiler::new(tiny_geom(), 1, 1.0, NruUpdateMode::Scaled);
-        for n in 0..4 {
-            p.observe(addr_in_set(0, n));
-        }
-        // After the 4 fills, the saturation reset fired on the 4th: only
-        // line 3 has its bit set. Access C (line 2, bit 0 -> no update),
-        // then D (line 3, bit 1, U=2 after C set its bit).
         p.observe(addr_in_set(0, 2));
         let before = p.sdh().register(2);
         p.observe(addr_in_set(0, 3));
@@ -601,7 +342,7 @@ mod tests {
 
     #[test]
     fn nru_used_bit_zero_hits_leave_sdh_unchanged() {
-        let mut p = NruProfiler::new(tiny_geom(), 1, 1.0, NruUpdateMode::Scaled);
+        let mut p = nru(1.0, NruUpdateMode::Scaled);
         for n in 0..4 {
             p.observe(addr_in_set(0, n));
         }
@@ -615,20 +356,16 @@ mod tests {
 
     #[test]
     fn nru_scaling_factor_shrinks_distances() {
-        let geom = CacheGeometry::new(4096, 16, 64).unwrap(); // 4 sets x 16
-        let p1 = NruProfiler::new(geom, 1, 1.0, NruUpdateMode::Scaled);
-        let p075 = NruProfiler::new(geom, 1, 0.75, NruUpdateMode::Scaled);
-        let p05 = NruProfiler::new(geom, 1, 0.5, NruUpdateMode::Scaled);
-        assert_eq!(p1.scaled_distance(8), 8);
-        assert_eq!(p075.scaled_distance(8), 6);
-        assert_eq!(p05.scaled_distance(8), 4);
+        assert_eq!(scaled_distance(1.0, 8), 8);
+        assert_eq!(scaled_distance(0.75, 8), 6);
+        assert_eq!(scaled_distance(0.5, 8), 4);
         // Paper: "if U = 7, we compute S×U = 3.5 -> 4" at S = 0.5.
-        assert_eq!(p05.scaled_distance(7), 4);
+        assert_eq!(scaled_distance(0.5, 7), 4);
     }
 
     #[test]
     fn nru_smear_mode_updates_prefix_registers() {
-        let mut p = NruProfiler::new(tiny_geom(), 1, 1.0, NruUpdateMode::Smear);
+        let mut p = nru(1.0, NruUpdateMode::Smear);
         for n in 0..4 {
             p.observe(addr_in_set(0, n));
         }
@@ -641,10 +378,37 @@ mod tests {
     }
 
     #[test]
+    fn nru_scale_is_validated_and_clamped() {
+        for bad in [1.5, 0.0, -0.25, f64::NAN] {
+            let msg = Profiler::new(
+                PolicyKind::Nru,
+                tiny_geom(),
+                1,
+                bad,
+                NruUpdateMode::Scaled,
+                ProfilerFidelity::Exact,
+            )
+            .unwrap_err()
+            .to_string();
+            assert!(msg.contains("outside (0, 1]"), "unexpected error: {msg}");
+            assert!(!msg.contains('\n'), "error must be one line");
+        }
+        let mut p = nru(0.75, NruUpdateMode::Scaled);
+        assert_eq!(p.nru_scale(), Some(0.75));
+        p.set_nru_scale(2.0);
+        assert_eq!(p.nru_scale(), Some(1.0));
+        p.set_nru_scale(0.0);
+        assert_eq!(p.nru_scale(), Some(0.05));
+        let mut l = lru(tiny_geom());
+        l.set_nru_scale(0.5);
+        assert_eq!(l.nru_scale(), None, "LRU has no scale");
+    }
+
+    #[test]
     fn bt_profiler_figure_4b_example() {
         // 4-way set; access D (way 3) when the tree bits on its path are
         // "10": estimated position = 4 - (11 XOR 10) = 3.
-        let mut p = BtProfiler::new(tiny_geom(), 1);
+        let mut p = bt(tiny_geom());
         for n in 0..4 {
             p.observe(addr_in_set(0, n));
         }
@@ -662,7 +426,7 @@ mod tests {
     fn bt_estimated_position_bounds() {
         // Estimated positions are always within [1, A].
         let geom = CacheGeometry::new(4096, 16, 64).unwrap();
-        let mut p = BtProfiler::new(geom, 1);
+        let mut p = bt(geom);
         let mut acc = 3u64;
         for i in 0..5000u64 {
             acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
@@ -672,23 +436,26 @@ mod tests {
         }
         // All recorded register indices are within 1..=A+1 by Sdh's
         // construction; additionally the MRU re-access property holds:
-        for way in 0..16usize {
-            let a = addr_in_set_16(0, way as u64);
+        for way in 0..16u64 {
+            let a = addr_in_set(0, way);
             p.observe(a); // may fill
             p.observe(a); // immediate re-access = estimated position 1
         }
         assert!(p.sdh().register(1) > 0);
     }
 
-    /// Address helper for the 16-way geometry (4 sets).
-    fn addr_in_set_16(set: usize, n: u64) -> Addr {
-        ((n << 2) | set as u64) << 6
-    }
-
     #[test]
     fn sampled_profiler_ignores_unsampled_sets() {
         let geom = CacheGeometry::new(2 * 1024 * 1024, 16, 128).unwrap();
-        let mut p = LruProfiler::new(geom, 32);
+        let mut p = Profiler::new(
+            PolicyKind::Lru,
+            geom,
+            32,
+            1.0,
+            NruUpdateMode::Scaled,
+            ProfilerFidelity::Exact,
+        )
+        .unwrap();
         // Set 1 is not sampled (1 % 32 != 0).
         p.observe(1u64 << 7);
         assert_eq!(p.observed(), 0);
@@ -700,56 +467,49 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_constructs_all_three() {
+    fn every_profiled_policy_builds_at_every_fidelity() {
         let geom = tiny_geom();
-        for kind in [PolicyKind::Lru, PolicyKind::Nru, PolicyKind::Bt] {
-            let mut p = ProfilerState::new(kind, geom, 1, 0.75, NruUpdateMode::Scaled);
-            p.observe(addr_in_set(0, 0));
-            assert_eq!(p.sdh().total(), 1);
-            p.decay();
-            p.reset();
-            assert_eq!(p.sdh().total(), 0);
+        for fidelity in [
+            ProfilerFidelity::Exact,
+            ProfilerFidelity::Sketch { fp_bits: 16 },
+        ] {
+            for kind in [PolicyKind::Lru, PolicyKind::Nru, PolicyKind::Bt] {
+                let mut p =
+                    Profiler::new(kind, geom, 1, 0.75, NruUpdateMode::Scaled, fidelity).unwrap();
+                assert_eq!(p.fidelity(), fidelity);
+                p.observe(addr_in_set(0, 0));
+                assert_eq!(p.sdh().total(), 1);
+                p.decay();
+                p.reset();
+                assert_eq!(p.sdh().total(), 0);
+                assert_eq!(p.observed(), 0);
+            }
         }
     }
 
     #[test]
-    fn dispatch_rejects_random_with_one_line_error() {
-        let err = ProfilerState::try_new(
-            PolicyKind::Random,
-            tiny_geom(),
-            1,
-            0.75,
-            NruUpdateMode::Scaled,
-            ProfilerFidelity::Exact,
-        )
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("no profiling logic"),
-            "unexpected error: {msg}"
-        );
-        assert!(!msg.contains('\n'), "error must be one line");
-    }
-
-    #[test]
-    fn dispatch_constructs_sketch_fidelity() {
-        let geom = tiny_geom();
-        for kind in [PolicyKind::Lru, PolicyKind::Nru, PolicyKind::Bt] {
-            let mut p = ProfilerState::try_new(
+    fn unprofilable_policies_get_one_line_errors() {
+        let err = |kind, assoc| {
+            let geom = CacheGeometry::new(64 * 4 * assoc as u64, assoc, 64).unwrap();
+            Profiler::new(
                 kind,
                 geom,
                 1,
                 0.75,
                 NruUpdateMode::Scaled,
-                ProfilerFidelity::Sketch { fp_bits: 16 },
+                ProfilerFidelity::Exact,
             )
-            .unwrap();
-            assert_eq!(p.fidelity(), ProfilerFidelity::Sketch { fp_bits: 16 });
-            p.observe(addr_in_set(0, 0));
-            assert_eq!(p.sdh().total(), 1);
-            p.reset();
-            assert_eq!(p.sdh().total(), 0);
-        }
+            .unwrap_err()
+            .to_string()
+        };
+        let msg = err(PolicyKind::Random, 4);
+        assert!(
+            msg.contains("no profiling logic"),
+            "unexpected error: {msg}"
+        );
+        assert!(!msg.contains('\n'), "error must be one line");
+        let msg = err(PolicyKind::Bt, 12);
+        assert!(msg.contains("associativity 12"), "unexpected error: {msg}");
     }
 
     #[test]
@@ -758,9 +518,16 @@ mod tests {
         // (deterministically) absent, so the sketch profiler's SDH must be
         // bit-identical to the exact one.
         let geom = tiny_geom();
-        let mut exact = LruProfiler::new(geom, 1);
-        let mut sketch =
-            LruProfiler::try_new(geom, 1, ProfilerFidelity::Sketch { fp_bits: 16 }).unwrap();
+        let mut exact = lru(geom);
+        let mut sketch = Profiler::new(
+            PolicyKind::Lru,
+            geom,
+            1,
+            1.0,
+            NruUpdateMode::Scaled,
+            ProfilerFidelity::Sketch { fp_bits: 16 },
+        )
+        .unwrap();
         for i in 0..4000u64 {
             let a = addr_in_set((i % 4) as usize, (i * 7 + i * i / 5) % 12);
             exact.observe(a);

@@ -1,4 +1,4 @@
-//! Sketch-sampled ATD membership (ROADMAP item 4).
+//! Sketch-sampled ATD membership.
 //!
 //! The paper's profiler keeps one full auxiliary tag directory per core:
 //! `sampled_sets x assoc` tag words per thread, which is what stops the
@@ -8,33 +8,26 @@
 //! instead of 47-bit tags — while the per-way replacement metadata (LRU
 //! ranks / NRU used bits / BT tree bits) stays exact in the profilers.
 //!
-//! Three layers:
-//!
 //! * [`CuckooFilter`] — a dependency-free, deterministic, bucketed
 //!   2-choice cuckoo filter with 8/12/16-bit fingerprints, a bounded
 //!   kick loop that triggers a doubling rebuild, and explicit delete.
-//! * [`SketchAtd`] — the filter-backed drop-in for [`AtdTags`]: the
-//!   filter answers "is this (set, tag) resident anywhere", a small
-//!   exact per-way fingerprint sidecar answers "which way".
-//! * [`TagStore`] / [`TagStoreState`] — the trait both stores satisfy
-//!   and the enum the profilers dispatch over, selected per scheme by
-//!   [`ProfilerFidelity`].
+//! * [`ProfilerFidelity`] — which tag store a scheme's profilers use.
+//!   [`crate::atd::AtdTags`] is the one store for both: exact tag rows,
+//!   or this filter plus a per-way fingerprint sidecar that answers
+//!   "which way".
 //!
 //! The software filter stores the full 64-bit key hash per slot so that
 //! delete can match exactly (no false negatives under arbitrary
 //! insert/delete interleavings) and rebuilds can reinsert without
 //! re-reading keys; *lookups* compare only the `fp_bits`-wide
 //! fingerprint, so the measured false-positive rate is the one the
-//! modelled hardware would see. Hardware cost accounting
-//! ([`CuckooFilter::storage_bits`], [`SketchAtd::storage_bytes`]) quotes
-//! fingerprint bits only.
+//! modelled hardware would see. The area model
+//! (`hwmodel::area::sketch_atd_bytes`) counts fingerprint bits only.
 
-use cachesim::{Addr, CacheError, CacheGeometry};
+use cachesim::CacheError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-
-use crate::atd::AtdTags;
 
 /// Slots per bucket (the classic (2,4) cuckoo-filter configuration).
 const SLOTS_PER_BUCKET: usize = 4;
@@ -47,9 +40,6 @@ const INITIAL_BUCKETS: usize = 16;
 const FP_SALT: u64 = 0xC0DE_F11E_5EED_0001;
 /// Salt for the deterministic kick-slot selector.
 const KICK_SALT: u64 = 0xC0DE_F11E_5EED_0002;
-/// Seed used by every [`SketchAtd`] (per-thread decorrelation comes from
-/// the address streams, not the filter hash).
-const SKETCH_SEED: u64 = 0x5EED_CAFE_F00D_0003;
 
 /// SWAR 16-bit-lane constants (4 lanes per u64, one per bucket slot):
 /// the low bit and the sign bit of every lane.
@@ -75,11 +65,10 @@ fn splitmix64(x: u64) -> u64 {
 /// the cuckoo-filter sketch with `fp_bits`-wide fingerprints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProfilerFidelity {
-    /// Full tag comparison ([`AtdTags`], the paper's design).
+    /// Full tag comparison (the paper's design).
     #[default]
     Exact,
-    /// Cuckoo-filter membership plus a per-way fingerprint sidecar
-    /// ([`SketchAtd`]).
+    /// Cuckoo-filter membership plus a per-way fingerprint sidecar.
     Sketch {
         /// Fingerprint width: 8, 12 or 16 bits.
         fp_bits: u32,
@@ -215,13 +204,6 @@ impl CuckooFilter {
     /// Doubling rebuilds performed since construction (or [`Self::clear`]).
     pub fn rebuilds(&self) -> u32 {
         self.rebuilds
-    }
-
-    /// Hardware storage cost: `fp_bits` plus a valid bit per slot. The
-    /// software-side full hashes are a simulator convenience and are not
-    /// counted.
-    pub fn storage_bits(&self) -> u64 {
-        self.capacity() as u64 * u64::from(self.fp_bits + 1)
     }
 
     /// The full 64-bit hash a key maps to.
@@ -436,344 +418,6 @@ pub fn analytic_fp_bound(fp_bits: u32) -> f64 {
     (2 * SLOTS_PER_BUCKET) as f64 / (1u64 << fp_bits) as f64
 }
 
-// ---------------------------------------------------------------------
-// TagStore: the interface AtdTags and SketchAtd share
-// ---------------------------------------------------------------------
-
-/// Tag bookkeeping of one sampled ATD, at either fidelity. The
-/// profilers only use this surface, so swapping the paper's exact tag
-/// rows for the sketch is invisible to the replacement-metadata logic.
-pub trait TagStore {
-    /// The L2 geometry this ATD mirrors.
-    fn geometry(&self) -> &CacheGeometry;
-    /// One in how many sets is sampled.
-    fn sample_ratio(&self) -> usize;
-    /// Number of sets actually present in the ATD.
-    fn sampled_sets(&self) -> usize;
-    /// If `addr`'s set is sampled, its ATD-local set index.
-    fn sampled_set(&self, addr: Addr) -> Option<usize>;
-    /// Tag of an address (same tag function as the L2).
-    fn tag(&self, addr: Addr) -> u64;
-    /// Find the way holding `tag` in ATD set `atd_set`.
-    fn lookup(&self, atd_set: usize, tag: u64) -> Option<usize>;
-    /// First invalid way of a set, if any.
-    fn invalid_way(&self, atd_set: usize) -> Option<usize>;
-    /// Install `tag` into `(atd_set, way)`, displacing any occupant.
-    fn fill(&mut self, atd_set: usize, way: usize, tag: u64);
-    /// Hardware storage cost in bytes for a given address width.
-    fn storage_bytes(&self, addr_bits: u32) -> u64;
-    /// Invalidate everything.
-    fn reset(&mut self);
-}
-
-impl TagStore for AtdTags {
-    fn geometry(&self) -> &CacheGeometry {
-        AtdTags::geometry(self)
-    }
-    fn sample_ratio(&self) -> usize {
-        AtdTags::sample_ratio(self)
-    }
-    fn sampled_sets(&self) -> usize {
-        AtdTags::sampled_sets(self)
-    }
-    fn sampled_set(&self, addr: Addr) -> Option<usize> {
-        AtdTags::sampled_set(self, addr)
-    }
-    fn tag(&self, addr: Addr) -> u64 {
-        AtdTags::tag(self, addr)
-    }
-    fn lookup(&self, atd_set: usize, tag: u64) -> Option<usize> {
-        AtdTags::lookup(self, atd_set, tag)
-    }
-    fn invalid_way(&self, atd_set: usize) -> Option<usize> {
-        AtdTags::invalid_way(self, atd_set)
-    }
-    fn fill(&mut self, atd_set: usize, way: usize, tag: u64) {
-        AtdTags::fill(self, atd_set, way, tag)
-    }
-    fn storage_bytes(&self, addr_bits: u32) -> u64 {
-        AtdTags::storage_bytes(self, addr_bits)
-    }
-    fn reset(&mut self) {
-        AtdTags::reset(self)
-    }
-}
-
-// ---------------------------------------------------------------------
-// SketchAtd: filter membership + exact per-way fingerprint sidecar
-// ---------------------------------------------------------------------
-
-/// The sketch-fidelity tag store.
-///
-/// Membership ("is this (set, tag) resident?") lives in one
-/// [`CuckooFilter`] per thread; way resolution ("which way?") uses an
-/// exact `fp_bits`-wide fingerprint sidecar per line, the hardware
-/// replacement for the 47-bit tag word. Fingerprint collisions within a
-/// set surface as wrong-way hits — the approximation the error-bound
-/// suite quantifies — but a resident line always hits (no false
-/// negatives): fills record the exact fingerprint the filter stores.
-///
-/// The software-only `resident_key` array remembers each line's full
-/// filter key so a fill can delete the displaced occupant from the
-/// filter; hardware gets this for free (the evicted line's identity is
-/// on the fill path) and the cost accounting excludes it.
-#[derive(Debug, Clone)]
-pub struct SketchAtd {
-    geom: CacheGeometry,
-    sample_ratio: usize,
-    sampled_sets: usize,
-    filter: CuckooFilter,
-    /// `fp_bits`-wide fingerprint per `(atd_set, way)` line.
-    way_fp: Vec<u16>,
-    valid: Vec<bool>,
-    /// Software-only: the filter key resident in each line, for delete.
-    resident_key: Vec<u64>,
-}
-
-impl SketchAtd {
-    /// Build a sketch ATD for a cache of shape `geom`, sampling one in
-    /// `sample_ratio` sets, with `fp_bits`-wide fingerprints (8/12/16).
-    pub fn new(geom: CacheGeometry, sample_ratio: usize, fp_bits: u32) -> Result<Self, CacheError> {
-        if sample_ratio < 1 {
-            return Err(CacheError::BadGeometry {
-                reason: "ATD sample ratio must be at least 1".into(),
-            });
-        }
-        if geom.num_sets() < sample_ratio {
-            return Err(CacheError::BadGeometry {
-                reason: format!(
-                    "ATD sample ratio {sample_ratio} leaves no sampled set \
-                     ({} sets)",
-                    geom.num_sets()
-                ),
-            });
-        }
-        let filter = CuckooFilter::new(fp_bits, SKETCH_SEED)?;
-        let sampled_sets = geom.num_sets() / sample_ratio;
-        let lines = sampled_sets * geom.assoc();
-        Ok(SketchAtd {
-            geom,
-            sample_ratio,
-            sampled_sets,
-            filter,
-            way_fp: vec![0; lines],
-            valid: vec![false; lines],
-            resident_key: vec![0; lines],
-        })
-    }
-
-    /// Fingerprint width in bits.
-    pub fn fp_bits(&self) -> u32 {
-        self.filter.fp_bits()
-    }
-
-    /// The membership filter (for inspection and cost accounting).
-    pub fn filter(&self) -> &CuckooFilter {
-        &self.filter
-    }
-
-    /// Filter key of an `(atd_set, tag)` line.
-    #[inline]
-    fn key(atd_set: usize, tag: u64) -> u64 {
-        tag ^ (atd_set as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-}
-
-impl TagStore for SketchAtd {
-    fn geometry(&self) -> &CacheGeometry {
-        &self.geom
-    }
-
-    fn sample_ratio(&self) -> usize {
-        self.sample_ratio
-    }
-
-    fn sampled_sets(&self) -> usize {
-        self.sampled_sets
-    }
-
-    #[inline]
-    fn sampled_set(&self, addr: Addr) -> Option<usize> {
-        let set = self.geom.set_index(addr);
-        if set.is_multiple_of(self.sample_ratio) {
-            Some(set / self.sample_ratio)
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn tag(&self, addr: Addr) -> u64 {
-        self.geom.tag(addr)
-    }
-
-    #[inline]
-    fn lookup(&self, atd_set: usize, tag: u64) -> Option<usize> {
-        let key = Self::key(atd_set, tag);
-        // Fast path: a filter miss is authoritative (no false negatives),
-        // so most ATD misses never touch the per-way sidecar.
-        if !self.filter.contains(key) {
-            return None;
-        }
-        let fp = self.filter.key_fingerprint(key);
-        let base = atd_set * self.geom.assoc();
-        (0..self.geom.assoc()).find(|&w| self.valid[base + w] && self.way_fp[base + w] == fp)
-    }
-
-    #[inline]
-    fn invalid_way(&self, atd_set: usize) -> Option<usize> {
-        let base = atd_set * self.geom.assoc();
-        (0..self.geom.assoc()).find(|&w| !self.valid[base + w])
-    }
-
-    #[inline]
-    fn fill(&mut self, atd_set: usize, way: usize, tag: u64) {
-        let idx = atd_set * self.geom.assoc() + way;
-        if self.valid[idx] {
-            // Evict the displaced occupant from the membership filter.
-            self.filter.delete(self.resident_key[idx]);
-        }
-        let key = Self::key(atd_set, tag);
-        self.filter.insert(key);
-        self.way_fp[idx] = self.filter.key_fingerprint(key);
-        self.resident_key[idx] = key;
-        self.valid[idx] = true;
-    }
-
-    /// Hardware cost: `fp_bits + 1` bits per sidecar line plus the
-    /// filter slots — independent of the address width the exact ATD
-    /// pays tag bits for.
-    fn storage_bytes(&self, _addr_bits: u32) -> u64 {
-        let lines = (self.sampled_sets * self.geom.assoc()) as u64;
-        let sidecar_bits = lines * u64::from(self.fp_bits() + 1);
-        (sidecar_bits + self.filter.storage_bits()).div_ceil(8)
-    }
-
-    fn reset(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = false);
-        self.filter.clear();
-    }
-}
-
-// ---------------------------------------------------------------------
-// TagStoreState: the enum the profilers dispatch over
-// ---------------------------------------------------------------------
-
-/// Enum dispatch over the two tag stores, selected by
-/// [`ProfilerFidelity`].
-#[derive(Debug, Clone)]
-pub enum TagStoreState {
-    /// The paper's exact tag rows.
-    Exact(AtdTags),
-    /// The cuckoo-filter sketch.
-    Sketch(SketchAtd),
-}
-
-impl TagStoreState {
-    /// Build the tag store a fidelity asks for.
-    pub fn try_new(
-        geom: CacheGeometry,
-        sample_ratio: usize,
-        fidelity: ProfilerFidelity,
-    ) -> Result<Self, CacheError> {
-        match fidelity.validate()? {
-            ProfilerFidelity::Exact => Ok(TagStoreState::Exact(AtdTags::new(geom, sample_ratio)?)),
-            ProfilerFidelity::Sketch { fp_bits } => Ok(TagStoreState::Sketch(SketchAtd::new(
-                geom,
-                sample_ratio,
-                fp_bits,
-            )?)),
-        }
-    }
-
-    /// The fidelity this store was built with.
-    pub fn fidelity(&self) -> ProfilerFidelity {
-        match self {
-            TagStoreState::Exact(_) => ProfilerFidelity::Exact,
-            TagStoreState::Sketch(s) => ProfilerFidelity::Sketch {
-                fp_bits: s.fp_bits(),
-            },
-        }
-    }
-}
-
-impl TagStore for TagStoreState {
-    fn geometry(&self) -> &CacheGeometry {
-        match self {
-            TagStoreState::Exact(t) => t.geometry(),
-            TagStoreState::Sketch(t) => t.geometry(),
-        }
-    }
-
-    fn sample_ratio(&self) -> usize {
-        match self {
-            TagStoreState::Exact(t) => TagStore::sample_ratio(t),
-            TagStoreState::Sketch(t) => t.sample_ratio(),
-        }
-    }
-
-    fn sampled_sets(&self) -> usize {
-        match self {
-            TagStoreState::Exact(t) => TagStore::sampled_sets(t),
-            TagStoreState::Sketch(t) => t.sampled_sets(),
-        }
-    }
-
-    #[inline]
-    fn sampled_set(&self, addr: Addr) -> Option<usize> {
-        match self {
-            TagStoreState::Exact(t) => t.sampled_set(addr),
-            TagStoreState::Sketch(t) => t.sampled_set(addr),
-        }
-    }
-
-    #[inline]
-    fn tag(&self, addr: Addr) -> u64 {
-        match self {
-            TagStoreState::Exact(t) => t.tag(addr),
-            TagStoreState::Sketch(t) => t.tag(addr),
-        }
-    }
-
-    #[inline]
-    fn lookup(&self, atd_set: usize, tag: u64) -> Option<usize> {
-        match self {
-            TagStoreState::Exact(t) => t.lookup(atd_set, tag),
-            TagStoreState::Sketch(t) => t.lookup(atd_set, tag),
-        }
-    }
-
-    #[inline]
-    fn invalid_way(&self, atd_set: usize) -> Option<usize> {
-        match self {
-            TagStoreState::Exact(t) => t.invalid_way(atd_set),
-            TagStoreState::Sketch(t) => t.invalid_way(atd_set),
-        }
-    }
-
-    #[inline]
-    fn fill(&mut self, atd_set: usize, way: usize, tag: u64) {
-        match self {
-            TagStoreState::Exact(t) => t.fill(atd_set, way, tag),
-            TagStoreState::Sketch(t) => t.fill(atd_set, way, tag),
-        }
-    }
-
-    fn storage_bytes(&self, addr_bits: u32) -> u64 {
-        match self {
-            TagStoreState::Exact(t) => TagStore::storage_bytes(t, addr_bits),
-            TagStoreState::Sketch(t) => t.storage_bytes(addr_bits),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            TagStoreState::Exact(t) => TagStore::reset(t),
-            TagStoreState::Sketch(t) => TagStore::reset(t),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,61 +495,5 @@ mod tests {
         }
         assert!("sketch9".parse::<ProfilerFidelity>().is_err());
         assert!("bogus".parse::<ProfilerFidelity>().is_err());
-    }
-
-    fn l2_geom() -> CacheGeometry {
-        CacheGeometry::new(2 * 1024 * 1024, 16, 128).unwrap()
-    }
-
-    #[test]
-    fn sketch_atd_mirrors_exact_lookup_fill() {
-        let mut atd = SketchAtd::new(l2_geom(), 32, 16).unwrap();
-        let addr = 0x40_0000u64;
-        let set = atd.sampled_set(addr).unwrap();
-        let tag = atd.tag(addr);
-        assert_eq!(atd.lookup(set, tag), None);
-        let way = atd.invalid_way(set).unwrap();
-        atd.fill(set, way, tag);
-        assert_eq!(atd.lookup(set, tag), Some(way));
-    }
-
-    #[test]
-    fn sketch_fill_displaces_the_old_occupant() {
-        let mut atd = SketchAtd::new(l2_geom(), 32, 16).unwrap();
-        atd.fill(0, 0, 111);
-        let old_len = atd.filter().len();
-        atd.fill(0, 0, 222);
-        assert_eq!(atd.filter().len(), old_len, "displaced key must leave");
-        assert_eq!(atd.lookup(0, 222), Some(0));
-        assert_eq!(atd.lookup(0, 111), None, "111 was displaced");
-    }
-
-    #[test]
-    fn sketch_storage_beats_exact_tags() {
-        let exact = AtdTags::new(l2_geom(), 32).unwrap();
-        let sketch = SketchAtd::new(l2_geom(), 32, 8).unwrap();
-        let e = TagStore::storage_bytes(&exact, 64);
-        let s = sketch.storage_bytes(64);
-        assert!(
-            s * 3 < e,
-            "sketch8 should cut ATD bytes >3x: exact {e} sketch {s}"
-        );
-    }
-
-    #[test]
-    fn sketch_reset_clears_membership() {
-        let mut atd = SketchAtd::new(l2_geom(), 32, 12).unwrap();
-        atd.fill(0, 0, 42);
-        TagStore::reset(&mut atd);
-        assert_eq!(atd.lookup(0, 42), None);
-        assert!(atd.filter().is_empty());
-    }
-
-    #[test]
-    fn bad_sample_ratio_is_a_one_line_error() {
-        let g = CacheGeometry::new(4096, 4, 64).unwrap(); // 16 sets
-        let err = SketchAtd::new(g, 32, 8).unwrap_err().to_string();
-        assert!(err.contains("no sampled set"), "unexpected error: {err}");
-        assert!(!err.contains('\n'));
     }
 }

@@ -1,13 +1,19 @@
 //! Property-based tests of the profiling logics and the SDH arithmetic.
 
-use cachesim::CacheGeometry;
-use plru_core::profiler::{BtProfiler, LruProfiler, NruProfiler};
-use plru_core::{NruUpdateMode, Profiler, Sdh};
+use cachesim::{CacheGeometry, PolicyKind};
+use plru_core::profiler::scaled_distance;
+use plru_core::{NruUpdateMode, Profiler, ProfilerFidelity, Sdh};
 use proptest::prelude::*;
 
 fn tiny_geom() -> CacheGeometry {
     // 8 sets x 8 ways x 64 B, fully sampled.
     CacheGeometry::new(4096, 8, 64).unwrap()
+}
+
+/// A fully-sampled exact profiler of `kind` (`scale` only matters for NRU).
+fn profiler(kind: PolicyKind, scale: f64) -> Profiler {
+    let exact = ProfilerFidelity::Exact;
+    Profiler::new(kind, tiny_geom(), 1, scale, NruUpdateMode::Scaled, exact).unwrap()
 }
 
 fn addr(set: usize, n: u64) -> u64 {
@@ -64,8 +70,8 @@ proptest! {
     fn observation_counts_are_complete(
         trace in proptest::collection::vec((0usize..8, 0u64..20), 1..600),
     ) {
-        let mut lru = LruProfiler::new(tiny_geom(), 1);
-        let mut bt = BtProfiler::new(tiny_geom(), 1);
+        let mut lru = profiler(PolicyKind::Lru, 1.0);
+        let mut bt = profiler(PolicyKind::Bt, 1.0);
         for &(set, n) in &trace {
             lru.observe(addr(set, n));
             bt.observe(addr(set, n));
@@ -85,8 +91,8 @@ proptest! {
         trace in proptest::collection::vec((0usize..8, 0u64..8), 1..600),
         scale in prop::sample::select(vec![1.0f64, 0.75, 0.5]),
     ) {
-        let mut nru = NruProfiler::new(tiny_geom(), 1, scale, NruUpdateMode::Scaled);
-        let mut lru = LruProfiler::new(tiny_geom(), 1);
+        let mut nru = profiler(PolicyKind::Nru, scale);
+        let mut lru = profiler(PolicyKind::Lru, 1.0);
         for &(set, n) in &trace {
             nru.observe(addr(set, n));
             lru.observe(addr(set, n));
@@ -100,12 +106,10 @@ proptest! {
     /// Scaled distances honour the paper's ceiling rule for every U.
     #[test]
     fn scaled_distance_ceiling_rule(u in 1usize..=16) {
-        let geom = CacheGeometry::new(8192, 16, 64).unwrap();
         type ExpectedDistance = fn(usize) -> usize;
         let cases: Vec<(f64, ExpectedDistance)> = vec![(1.0, |u| u), (0.5, |u| u.div_ceil(2))];
         for (s, expected) in cases {
-            let p = NruProfiler::new(geom, 1, s, NruUpdateMode::Scaled);
-            prop_assert_eq!(p.scaled_distance(u), expected(u));
+            prop_assert_eq!(scaled_distance(s, u), expected(u));
         }
     }
 
@@ -114,7 +118,7 @@ proptest! {
     fn reset_makes_profilers_replayable(
         trace in proptest::collection::vec((0usize..8, 0u64..24), 1..300),
     ) {
-        let mut p = LruProfiler::new(tiny_geom(), 1);
+        let mut p = profiler(PolicyKind::Lru, 1.0);
         for &(set, n) in &trace {
             p.observe(addr(set, n));
         }

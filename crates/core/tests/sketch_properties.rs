@@ -13,7 +13,8 @@
 //!   `2 x 4 / 2^f` ([`analytic_fp_bound`]); the measured rate must stay
 //!   within 2x of that bound at every supported width.
 
-use plru_core::sketch::{analytic_fp_bound, CuckooFilter, SketchAtd, TagStore};
+use plru_core::atd::AtdTags;
+use plru_core::sketch::{analytic_fp_bound, CuckooFilter, ProfilerFidelity};
 use proptest::prelude::*;
 
 fn filter(fp_bits: u32) -> CuckooFilter {
@@ -123,7 +124,7 @@ proptest! {
         tags in proptest::collection::vec(1u64..1_000_000, 1..64),
     ) {
         let geom = cachesim::CacheGeometry::new(4096, 8, 64).unwrap();
-        let mut atd = SketchAtd::new(geom, 1, 16).unwrap();
+        let mut atd = AtdTags::new(geom, 1, ProfilerFidelity::Sketch { fp_bits: 16 }).unwrap();
         let mut uniq = tags.clone();
         uniq.sort_unstable();
         uniq.dedup();

@@ -26,8 +26,8 @@ pub fn atd_bytes(policy: PolicyKind, params: &CacheParams, sample_ratio: usize) 
 }
 
 /// Sketch-fidelity ATD size in bytes for one core: the cuckoo filter's
-/// slot array plus the exact per-way fingerprint sidecar, mirroring
-/// `plru_core::SketchAtd`'s hardware accounting. Each filter slot and
+/// slot array plus the exact per-way fingerprint sidecar of a
+/// `plru_core::atd::AtdTags` built at sketch fidelity. Each filter slot and
 /// each way-sidecar entry stores `fp_bits` + 1 valid bit; the filter is
 /// sized like the runtime's autoscaled steady state — the next
 /// power-of-two bucket count that holds the sampled lines at <= 95 %

@@ -18,7 +18,7 @@ use crate::engine::{IsolationCache, SimEngine};
 use crate::scenario::spec::{ScenarioSpec, WorkloadSel};
 use cachesim::CacheGeometry;
 use cmpsim::{MachineConfig, StreamKey};
-use plru_core::{EnforcementStyle, ProfilerFidelity, Scheme};
+use plru_core::{CpaController, ProfilerFidelity, Scheme};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -283,14 +283,15 @@ impl ScenarioSpec {
         non_empty(&l2_assocs, "l2_assocs")?;
         non_empty(&seed_salts, "seed_salts")?;
 
-        // Validate every (size, assoc, policy) combination up front so a
-        // bad spec fails as a whole instead of mid-sweep.
+        // Validate every (size, assoc, scheme) combination up front so a
+        // bad spec fails as a whole instead of mid-sweep; each CPA scheme
+        // asks the controller itself about every workload's core count.
         for &size in &l2_sizes {
             for &assoc in &l2_assocs {
-                CacheGeometry::new(size, assoc, baseline.l2.line_bytes()).map_err(|e| {
-                    ScenarioError::new(format!("invalid L2 shape {size} B x {assoc}-way: {e}"))
-                })?;
-                let sets = (size / (baseline.l2.line_bytes() as u64 * assoc as u64)) as usize;
+                let geom =
+                    CacheGeometry::new(size, assoc, baseline.l2.line_bytes()).map_err(|e| {
+                        ScenarioError::new(format!("invalid L2 shape {size} B x {assoc}-way: {e}"))
+                    })?;
                 for scheme in &schemes {
                     scheme.policy().validate_assoc(assoc).map_err(|e| {
                         ScenarioError::new(format!(
@@ -299,29 +300,16 @@ impl ScenarioSpec {
                         ))
                     })?;
                     let Some(cpa) = scheme.cpa() else { continue };
-                    if sets < cpa.sample_ratio {
-                        return Err(ScenarioError::new(format!(
-                            "scheme {}: ATD sample ratio {} leaves no sampled set \
-                             ({sets} sets at {size} B x {assoc}-way)",
-                            scheme.acronym(),
-                            cpa.sample_ratio
-                        )));
-                    }
-                    // Owner counters need one quota way per core; masks
-                    // cluster at many-core scale instead.
-                    if cpa.enforcement == EnforcementStyle::OwnerCounters {
-                        for (wl, _) in &workloads {
-                            if wl.benchmarks.len() > assoc {
-                                return Err(ScenarioError::new(format!(
-                                    "scheme {}: owner-counter enforcement needs one quota \
-                                     way per core, but workload `{}` has {} threads on \
-                                     {assoc} ways (use an M-* scheme)",
+                    for (wl, _) in &workloads {
+                        CpaController::try_new(cpa.clone(), geom, wl.benchmarks.len()).map_err(
+                            |e| {
+                                ScenarioError::new(format!(
+                                    "scheme {} on `{}` at {size} B x {assoc}-way: {e}",
                                     scheme.acronym(),
-                                    wl.name,
-                                    wl.benchmarks.len()
-                                )));
-                            }
-                        }
+                                    wl.name
+                                ))
+                            },
+                        )?;
                     }
                 }
             }

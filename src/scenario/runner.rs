@@ -116,7 +116,7 @@ impl SweepRunner {
 /// L2 stream to every requested profiler.
 pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, ScenarioError> {
     use cachesim::{Cache, CacheConfig, PolicyKind};
-    use plru_core::{NruUpdateMode, Profiler, ProfilerFidelity, ProfilerState};
+    use plru_core::{NruUpdateMode, Profiler, ProfilerFidelity};
     use tracegen::TraceGenerator;
 
     let profile = tracegen::benchmark(&spec.benchmark)
@@ -145,7 +145,7 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
     // "BT"), not schemes — there is no enforcement part and bare scale
     // prefixes are legal — so it deliberately does not go through the
     // `Scheme` grammar.
-    let mut profilers: Vec<(String, ProfilerState)> = Vec::new();
+    let mut profilers: Vec<(String, Profiler)> = Vec::new();
     for p in &spec.profilers {
         let (label, kind, scale) = match p.as_str() {
             "L" => ("SDH (LRU)".to_string(), PolicyKind::Lru, 1.0),
@@ -154,11 +154,6 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
                 let scale: f64 = nru[..nru.len() - 1].parse().map_err(|_| {
                     ScenarioError::new(format!("bad NRU profiler scale in `{nru}`"))
                 })?;
-                if !(scale > 0.0 && scale <= 1.0) {
-                    return Err(ScenarioError::new(format!(
-                        "NRU profiler scale {scale} outside (0, 1]"
-                    )));
-                }
                 (format!("eSDH {nru}"), PolicyKind::Nru, scale)
             }
             other => {
@@ -167,9 +162,8 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
                 )))
             }
         };
-        let prof =
-            ProfilerState::try_new(kind, geom, ratio, scale, NruUpdateMode::Scaled, fidelity)
-                .map_err(|e| ScenarioError::new(e.to_string()))?;
+        let prof = Profiler::new(kind, geom, ratio, scale, NruUpdateMode::Scaled, fidelity)
+            .map_err(|e| ScenarioError::new(e.to_string()))?;
         profilers.push((label, prof));
     }
 

@@ -2,14 +2,19 @@
 //! stack property (Mattson et al.) that the whole SDH approach rests on,
 //! and on the paper's bounds for the eSDH estimates.
 
-use plru_core::profiler::{BtProfiler, LruProfiler, NruProfiler};
-use plru_core::NruUpdateMode;
+use plru_core::{NruUpdateMode, ProfilerFidelity};
 use plru_repro::prelude::*;
 use proptest::prelude::*;
 
 /// A small fully-sampled geometry: 8 sets x 8 ways x 64 B lines.
 fn tiny_geom() -> CacheGeometry {
     CacheGeometry::new(4096, 8, 64).unwrap()
+}
+
+/// A fully-sampled exact profiler of `kind` (`scale` only matters for NRU).
+fn profiler(kind: PolicyKind, geom: CacheGeometry, scale: f64) -> Profiler {
+    let exact = ProfilerFidelity::Exact;
+    Profiler::new(kind, geom, 1, scale, NruUpdateMode::Scaled, exact).unwrap()
 }
 
 /// Byte address of the n-th distinct line mapping to `set` (8 sets).
@@ -28,7 +33,7 @@ proptest! {
         trace in proptest::collection::vec((0usize..8, 0u64..24), 200..2000),
         ways in 1usize..=8,
     ) {
-        let mut profiler = LruProfiler::new(tiny_geom(), 1);
+        let mut profiler = profiler(PolicyKind::Lru, tiny_geom(), 1.0);
         let geom = CacheGeometry::new(64 * 8 * ways as u64, ways, 64).unwrap();
         prop_assert_eq!(geom.num_sets(), 8);
         let mut cache = Cache::new(CacheConfig {
@@ -55,8 +60,8 @@ proptest! {
         trace in proptest::collection::vec((0usize..8, 0u64..32), 200..1500),
         scale in prop::sample::select(vec![1.0f64, 0.75, 0.5]),
     ) {
-        let mut nru = NruProfiler::new(tiny_geom(), 1, scale, NruUpdateMode::Scaled);
-        let mut bt = BtProfiler::new(tiny_geom(), 1);
+        let mut nru = profiler(PolicyKind::Nru, tiny_geom(), scale);
+        let mut bt = profiler(PolicyKind::Bt, tiny_geom(), 1.0);
         for &(set, n) in &trace {
             let a = addr_in(set, n);
             nru.observe(a);
@@ -80,9 +85,9 @@ proptest! {
         // All lines fit in one 8-way set: no evictions ever, so the miss
         // register must equal the number of distinct lines for every
         // profiler.
-        let mut lru = LruProfiler::new(tiny_geom(), 1);
-        let mut nru = NruProfiler::new(tiny_geom(), 1, 0.75, NruUpdateMode::Scaled);
-        let mut bt = BtProfiler::new(tiny_geom(), 1);
+        let mut lru = profiler(PolicyKind::Lru, tiny_geom(), 1.0);
+        let mut nru = profiler(PolicyKind::Nru, tiny_geom(), 0.75);
+        let mut bt = profiler(PolicyKind::Bt, tiny_geom(), 1.0);
         let mut distinct = std::collections::HashSet::new();
         for &n in &lines {
             let a = addr_in(0, n);
@@ -103,9 +108,9 @@ proptest! {
 #[test]
 fn esdh_tracks_sdh_shape_on_a_real_benchmark() {
     let geom = CacheGeometry::new(2 * 1024 * 1024, 16, 128).unwrap();
-    let mut lru = LruProfiler::new(geom, 1);
-    let mut nru = NruProfiler::new(geom, 1, 0.75, NruUpdateMode::Scaled);
-    let mut bt = BtProfiler::new(geom, 1);
+    let mut lru = profiler(PolicyKind::Lru, geom, 1.0);
+    let mut nru = profiler(PolicyKind::Nru, geom, 0.75);
+    let mut bt = profiler(PolicyKind::Bt, geom, 1.0);
 
     let mut gen = TraceGenerator::new(benchmark("twolf").unwrap(), 11);
     for _ in 0..300_000 {
