@@ -326,28 +326,30 @@ mod tests {
 
     #[test]
     fn vectors_match_masked_walk_on_aligned_subtrees() {
-        // On aligned subtrees the paper's vector scheme and our generalized
-        // masked walk pick the same victim, from any tree state.
-        let mut bt = Bt::new(1, 16);
-        let masks = [
-            WayMask::contiguous(0, 8),
-            WayMask::contiguous(8, 8),
-            WayMask::contiguous(4, 4),
-            WayMask::contiguous(12, 4),
-            WayMask::contiguous(2, 2),
-            WayMask::full(16),
-        ];
-        let mut acc = 1usize;
-        for step in 0..200 {
-            acc = (acc * 11 + step) % 16;
-            bt.on_access(0, acc);
-            for mask in masks {
-                let vec = BtVectors::for_aligned_subtree(mask, 16).unwrap();
-                assert_eq!(
-                    bt.victim_vectors(0, vec),
-                    bt.victim_masked(0, mask),
-                    "step {step} mask {mask}"
-                );
+        // On every aligned subtree the paper's vector scheme and the
+        // generalized masked walk pick the same victim, from every tree
+        // state. 32 ways (2^31 states) is left to the property suite.
+        for assoc in [2usize, 4, 8, 16] {
+            let mut bt = Bt::new(1, assoc);
+            let subtrees: Vec<WayMask> = (0..=assoc.trailing_zeros())
+                .map(|l| 1usize << l)
+                .flat_map(|size| {
+                    (0..assoc)
+                        .step_by(size)
+                        .map(move |start| WayMask::contiguous(start, size))
+                })
+                .collect();
+            assert_eq!(subtrees.len(), 2 * assoc - 1);
+            for state in 0..1u32 << (assoc - 1) {
+                bt.trees[0] = state;
+                for &mask in &subtrees {
+                    let vec = BtVectors::for_aligned_subtree(mask, assoc).unwrap();
+                    assert_eq!(
+                        bt.victim_vectors(0, vec),
+                        bt.victim_masked(0, mask),
+                        "{assoc} ways, tree {state:#x}, mask {mask}"
+                    );
+                }
             }
         }
     }
