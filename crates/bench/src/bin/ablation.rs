@@ -1,10 +1,11 @@
-//! Ablations beyond the paper's figures, exercising the design choices
-//! DESIGN.md calls out:
+//! Ablations beyond the paper's figures, exercising the reproduction's
+//! design choices:
 //!
 //! 1. NRU eSDH scaling-factor sweep (finer than the paper's three values)
 //!    and the point-update vs smear-update ambiguity of Section III-A;
-//! 2. BT enforcement: strict up/down vectors (aligned subtrees) vs the
-//!    generalized mask-guided tree walk;
+//! 2. BT enforcement: the paper's aligned-subtree partitions (what its
+//!    up/down vectors can express; `bt_strict_vectors`) vs arbitrary
+//!    contiguous masks under the generalized mask-guided tree walk;
 //! 3. MinMisses solver: exact DP vs greedy marginal-gain;
 //! 4. ATD set-sampling ratio sweep;
 //! 5. latency-aware pseudo-LRU (Section V-B: simpler replacement logic
@@ -63,9 +64,9 @@ fn main() {
 
     // 2. BT enforcement mode.
     println!("(2) BT enforcement: strict up/down vectors vs generalized masked walk");
-    let strict = CpaConfig::m_bt();
-    let mut generalized = CpaConfig::m_bt();
-    generalized.bt_strict_vectors = false;
+    let mut strict = CpaConfig::m_bt();
+    strict.bt_strict_vectors = true;
+    let generalized = CpaConfig::m_bt();
     let mut t = TextTable::new(&["mode", "rel throughput"]);
     t.row(vec![
         "strict vectors (paper)".into(),

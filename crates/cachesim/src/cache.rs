@@ -22,10 +22,12 @@
 //!   ways (usually exactly the hit way) are verified against the full tag.
 //!   For the paper's 16-way L2 this replaces a 128-byte row scan with two
 //!   u64 lane words — an 8× cut in probe traffic.
-//! * **Pre-resolved enforcement** — enforcement static masks, candidate
-//!   masks and BT vectors are pre-resolved into an `EnforcePlan` when the
-//!   enforcement is installed, so the kernel reads plain arrays instead
-//!   of re-matching the enforcement enum per access.
+//! * **Pre-resolved enforcement** — each core's NRU scope, victim
+//!   candidate mask and owner quota are pre-resolved into an
+//!   `EnforcePlan` when the enforcement is installed, so the kernel reads
+//!   plain arrays instead of re-matching the enforcement enum per access.
+//!   Every partition arrives as way masks or owner quotas; BT's strict
+//!   aligned-subtree partitions are masks too.
 //!
 //! Both entry points dispatch on the policy enum once per call, so a
 //! batch pays one dispatch for its whole slice. In the simulator single
@@ -46,7 +48,7 @@ use crate::enforcement::Enforcement;
 use crate::error::CacheError;
 use crate::geometry::CacheGeometry;
 use crate::mask::WayMask;
-use crate::policy::{BtVectors, PolicyKind, PolicyState, ReplKernel};
+use crate::policy::{PolicyKind, PolicyState, ReplKernel};
 use crate::stats::CacheStats;
 
 /// Construction parameters for a [`Cache`].
@@ -182,8 +184,6 @@ struct EnforcePlan {
     /// Static victim-candidate mask per core (full when unpartitioned;
     /// unused in owner-counter mode).
     cands: Vec<WayMask>,
-    /// BT subtree vectors per core (`Some` only under BT enforcement).
-    vectors: Vec<Option<BtVectors>>,
     /// Per-core way quotas (owner-counter mode only, else empty).
     quotas: Vec<usize>,
     /// Owner-counter mode: candidates depend on per-set owner state.
@@ -196,26 +196,14 @@ impl EnforcePlan {
         let scopes = (0..num_cores)
             .map(|c| e.static_mask(c).unwrap_or(full))
             .collect();
-        let (cands, vectors, quotas, counters) = match e {
-            Enforcement::None => (vec![full; num_cores], vec![None; num_cores], vec![], false),
-            Enforcement::Masks(masks) => (masks.clone(), vec![None; num_cores], vec![], false),
-            Enforcement::BtVectors { masks, vectors } => (
-                masks.clone(),
-                vectors.iter().copied().map(Some).collect(),
-                vec![],
-                false,
-            ),
-            Enforcement::OwnerCounters { quotas } => (
-                vec![full; num_cores],
-                vec![None; num_cores],
-                quotas.clone(),
-                true,
-            ),
+        let (cands, quotas, counters) = match e {
+            Enforcement::None => (vec![full; num_cores], vec![], false),
+            Enforcement::Masks(masks) => (masks.clone(), vec![], false),
+            Enforcement::OwnerCounters { quotas } => (vec![full; num_cores], quotas.clone(), true),
         };
         EnforcePlan {
             scopes,
             cands,
-            vectors,
             quotas,
             counters,
         }
@@ -398,7 +386,7 @@ fn access_one<P: ReplKernel>(
             } else {
                 full
             };
-            let way = policy.pick(set, mask, None);
+            let way = policy.pick(set, mask);
             let old_owner = planes.owner[base + way];
             let old_line = planes.geom.line_of(set, planes.tags[base + way]);
             (way, Some((old_line, old_owner)))
@@ -409,7 +397,7 @@ fn access_one<P: ReplKernel>(
         if invalid != 0 {
             (invalid.trailing_zeros() as usize, None)
         } else {
-            let way = policy.pick(set, candidates, plan.vectors[core]);
+            let way = policy.pick(set, candidates);
             let old_owner = planes.owner[base + way];
             let old_line = planes.geom.line_of(set, planes.tags[base + way]);
             (way, Some((old_line, old_owner)))
@@ -498,10 +486,9 @@ fn scan_access<P: ReplKernel>(
 
     // Miss: pick a fill way — an invalid candidate way first, then a
     // policy victim among the candidates.
-    let (candidates, vectors): (WayMask, Option<BtVectors>) = match planes.enforcement {
-        Enforcement::None => (full, None),
-        Enforcement::Masks(masks) => (masks[core], None),
-        Enforcement::BtVectors { masks, vectors } => (masks[core], Some(vectors[core])),
+    let candidates = match planes.enforcement {
+        Enforcement::None => full,
+        Enforcement::Masks(masks) => masks[core],
         Enforcement::OwnerCounters { quotas } => {
             // Section II-B.1: under quota -> evict the LRU line among
             // lines of *other* cores; at/over quota -> among own lines.
@@ -512,7 +499,7 @@ fn scan_access<P: ReplKernel>(
             let others = valid & !own;
             let under_quota =
                 usize::from(planes.owner_count[set * planes.num_cores + core]) < quotas[core];
-            let mask = if under_quota && others != 0 {
+            if under_quota && others != 0 {
                 WayMask(others)
             } else if own != 0 {
                 WayMask(own)
@@ -521,8 +508,7 @@ fn scan_access<P: ReplKernel>(
                 // set); any way is fair game — invalid-way fill will
                 // normally take over before this matters.
                 full
-            };
-            (mask, None)
+            }
         }
     };
 
@@ -541,7 +527,7 @@ fn scan_access<P: ReplKernel>(
     let (way, evicted) = if invalid != 0 {
         (invalid.trailing_zeros() as usize, None)
     } else {
-        let way = policy.pick(set, candidates, vectors);
+        let way = policy.pick(set, candidates);
         let old_owner = planes.owner[base + way];
         let old_line = planes.geom.line_of(set, planes.tags[base + way]);
         (way, Some((old_line, old_owner)))
@@ -617,12 +603,6 @@ impl Cache {
     /// The cache's geometry.
     pub fn geometry(&self) -> &CacheGeometry {
         &self.geom
-    }
-
-    /// Access to the raw policy state (used by tests and by the ATD, which
-    /// mirrors policy state).
-    pub fn policy(&self) -> &PolicyState {
-        &self.policy
     }
 
     /// Number of cores sharing this cache.
@@ -889,15 +869,12 @@ mod tests {
     }
 
     #[test]
-    fn bt_vectors_enforce_subtrees() {
+    fn bt_subtree_masks_confine_victims() {
         let mut c = small(PolicyKind::Bt, 2);
-        c.set_enforcement(
-            Enforcement::bt_vectors(
-                vec![WayMask::contiguous(0, 2), WayMask::contiguous(2, 2)],
-                4,
-            )
-            .unwrap(),
-        );
+        c.set_enforcement(Enforcement::masks(vec![
+            WayMask::contiguous(0, 2),
+            WayMask::contiguous(2, 2),
+        ]));
         for n in 0..8 {
             let out = c.access(0, addr_in_set(&c, 2, n), false);
             assert!(out.way < 2, "core 0 confined to upper subtree");

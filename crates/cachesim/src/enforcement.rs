@@ -1,21 +1,24 @@
 //! Partition enforcement: how a victim search is constrained to a core's
 //! assigned ways.
 //!
-//! The paper evaluates three enforcement mechanisms:
+//! The paper evaluates two enforcement mechanisms:
 //!
 //! * **per-set owner counters** (`C`, Section II-B.1, from Qureshi & Patt):
 //!   each line remembers the core that filled it and each set counts lines
 //!   per core; a core under its quota evicts the LRU line *of other cores*,
 //!   a core at/over quota evicts the LRU line among *its own* lines;
 //! * **global replacement masks** (`M`, Section II-B.2): one A-bit mask per
-//!   core restricts where that core may search for a victim;
-//! * **BT up/down vectors** (Section III-B, Figure 5): per-core
-//!   `log2(A)`-bit vectors that force the binary-tree walk into the core's
-//!   aligned subtree.
+//!   core restricts where that core may search for a victim.
+//!
+//! BT's per-core up/down vectors (Section III-B, Figure 5) are not a third
+//! mode here. They can only steer the tree walk into an aligned subtree,
+//! and on an aligned subtree BT's masked walk picks the vectors' own victim
+//! from any tree state, so the strict BT partition is installed as
+//! aligned-subtree masks. [`BtVectors`](crate::policy::BtVectors) stays as
+//! the reference walk the masked walk is tested against.
 
 use crate::error::CacheError;
 use crate::mask::WayMask;
-use crate::policy::BtVectors;
 use serde::{Deserialize, Serialize};
 
 /// The enforcement mechanism active on a cache.
@@ -29,15 +32,6 @@ pub enum Enforcement {
     OwnerCounters {
         /// `quotas[c]` = number of ways core `c` may occupy per set.
         quotas: Vec<usize>,
-    },
-    /// The paper's BT up/down vectors. Masks are kept alongside the
-    /// vectors because fill of invalid ways still needs to know which ways
-    /// belong to the core. Only valid for aligned-subtree masks.
-    BtVectors {
-        /// Per-core aligned-subtree masks.
-        masks: Vec<WayMask>,
-        /// Per-core up/down vectors derived from the masks.
-        vectors: Vec<BtVectors>,
     },
 }
 
@@ -61,44 +55,13 @@ impl Enforcement {
         Enforcement::OwnerCounters { quotas }
     }
 
-    /// Build the paper's BT vector enforcement from per-core masks, which
-    /// must each be an aligned subtree of the `assoc`-way tree.
-    pub fn bt_vectors(masks: Vec<WayMask>, assoc: usize) -> Result<Self, CacheError> {
-        let mut vectors = Vec::with_capacity(masks.len());
-        for (core, &m) in masks.iter().enumerate() {
-            let v = BtVectors::for_aligned_subtree(m, assoc).ok_or_else(|| {
-                CacheError::BadPartition {
-                    reason: format!("core {core}: mask {m} is not an aligned subtree"),
-                }
-            })?;
-            vectors.push(v);
-        }
-        Ok(Enforcement::BtVectors { masks, vectors })
-    }
-
-    /// Is any partitioning active?
-    pub fn is_partitioned(&self) -> bool {
-        !matches!(self, Enforcement::None)
-    }
-
     /// The eviction-candidate mask of a core, where statically known
-    /// (masks and vectors modes). `None` for unpartitioned and
-    /// counter-based modes, whose candidates depend on per-set state.
+    /// (masks mode). `None` for unpartitioned and counter-based modes,
+    /// whose candidates depend on per-set state.
     pub fn static_mask(&self, core: usize) -> Option<WayMask> {
         match self {
             Enforcement::Masks(m) => Some(m[core]),
-            Enforcement::BtVectors { masks, .. } => Some(masks[core]),
             _ => None,
-        }
-    }
-
-    /// Number of cores this enforcement describes (`None` = unconstrained).
-    pub fn num_cores(&self) -> Option<usize> {
-        match self {
-            Enforcement::None => None,
-            Enforcement::Masks(m) => Some(m.len()),
-            Enforcement::OwnerCounters { quotas } => Some(quotas.len()),
-            Enforcement::BtVectors { masks, .. } => Some(masks.len()),
         }
     }
 
@@ -140,26 +103,6 @@ impl Enforcement {
                 }
                 Ok(())
             }
-            Enforcement::BtVectors { masks, vectors } => {
-                if masks.len() != num_cores || vectors.len() != num_cores {
-                    return Err(CacheError::BadPartition {
-                        reason: "vector/mask count mismatch".into(),
-                    });
-                }
-                for (c, (m, v)) in masks.iter().zip(vectors).enumerate() {
-                    if !m.is_aligned_subtree(assoc) {
-                        return Err(CacheError::BadPartition {
-                            reason: format!("core {c} mask {m} is not an aligned subtree"),
-                        });
-                    }
-                    if !v.is_valid() {
-                        return Err(CacheError::BadPartition {
-                            reason: format!("core {c} has up & down bits overlapping"),
-                        });
-                    }
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -198,20 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn bt_vectors_require_aligned_subtrees() {
-        let ok = Enforcement::bt_vectors(
-            vec![WayMask::contiguous(0, 8), WayMask::contiguous(8, 8)],
-            16,
-        );
-        assert!(ok.is_ok());
-        let bad = Enforcement::bt_vectors(
-            vec![WayMask::contiguous(0, 10), WayMask::contiguous(10, 6)],
-            16,
-        );
-        assert!(bad.is_err());
-    }
-
-    #[test]
     fn static_mask_reports_masks_only() {
         let e = Enforcement::masks(vec![WayMask::contiguous(0, 4), WayMask::contiguous(4, 12)]);
         assert_eq!(e.static_mask(1), Some(WayMask::contiguous(4, 12)));
@@ -220,20 +149,14 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_flag() {
-        assert!(!Enforcement::None.is_partitioned());
-        assert!(Enforcement::owner_counters(vec![1]).is_partitioned());
-    }
-
-    #[test]
     fn serde_round_trip() {
-        let e = Enforcement::bt_vectors(
-            vec![WayMask::contiguous(0, 8), WayMask::contiguous(8, 8)],
-            16,
-        )
-        .unwrap();
-        let s = serde_json::to_string(&e).unwrap();
-        let back: Enforcement = serde_json::from_str(&s).unwrap();
-        assert_eq!(e, back);
+        for e in [
+            Enforcement::masks(vec![WayMask::contiguous(0, 8), WayMask::contiguous(8, 8)]),
+            Enforcement::owner_counters(vec![10, 6]),
+        ] {
+            let s = serde_json::to_string(&e).unwrap();
+            let back: Enforcement = serde_json::from_str(&s).unwrap();
+            assert_eq!(e, back);
+        }
     }
 }

@@ -12,9 +12,13 @@
 //!   * [`policy::Bt`] — IBM's *Binary Tree* pseudo-LRU,
 //!   * plus two reference policies: a seeded [`policy::RandomRepl`] and a
 //!     recency-blind [`policy::Fifo`],
-//! * way-level partition **enforcement** in the three flavours the paper
-//!   evaluates ([`Enforcement`]): per-set owner counters (`C`), global
-//!   replacement way-masks (`M`), and BT up/down override vectors,
+//! * way-level partition **enforcement** ([`Enforcement`]): per-set owner
+//!   counters (`C`) or global replacement way-masks (`M`). The paper's BT
+//!   up/down override vectors ([`BtVectors`]) can only express aligned
+//!   subtrees, where BT's masked walk picks their victim; strict BT
+//!   partitions are therefore installed as aligned-subtree masks, and the
+//!   vectors stay as the reference walk (and as the hardware `hwmodel`
+//!   prices),
 //! * the composed [`Cache`] structure with per-core statistics, and a small
 //!   private-L1 + shared-L2 [`hierarchy`].
 //!

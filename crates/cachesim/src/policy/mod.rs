@@ -11,6 +11,11 @@
 //! | BT     | `A - 1` tree bits              | per-core up/down vectors      |
 //! | FIFO   | one `log2(A)`-bit fill pointer | —                             |
 //!
+//! BT's up/down vectors are the paper's enforcement hardware, which
+//! `hwmodel` prices. The cache enforces the same aligned-subtree
+//! partitions with way masks: on such a mask [`Bt::victim_masked`] picks
+//! the victim [`Bt::victim_vectors`] would.
+//!
 //! The policies expose their raw state (`stack_position`, `used_bits`,
 //! `path_bits`, …) because the paper's *profiling logics* read exactly that
 //! state out of the Auxiliary Tag Directory.
@@ -92,10 +97,11 @@ impl PolicyKind {
 
 /// Runtime-dispatched replacement state for one cache.
 ///
-/// A plain enum (rather than `Box<dyn>`) keeps victim selection a direct
-/// match + inlined call — this is the hottest path of the whole simulator.
+/// A plain enum (rather than `Box<dyn>`): the cache matches on it once
+/// per call and then runs its monomorphized kernel against the variant's
+/// [`ReplKernel`] implementation.
 #[derive(Debug, Clone)]
-pub enum PolicyState {
+pub(crate) enum PolicyState {
     /// True LRU state.
     Lru(Lru),
     /// NRU state.
@@ -110,7 +116,7 @@ pub enum PolicyState {
 
 impl PolicyState {
     /// Construct fresh state for `num_sets` sets of `assoc` ways.
-    pub fn new(kind: PolicyKind, num_sets: usize, assoc: usize, seed: u64) -> Self {
+    pub(crate) fn new(kind: PolicyKind, num_sets: usize, assoc: usize, seed: u64) -> Self {
         kind.validate_assoc(assoc)
             .expect("policy/associativity combination already validated");
         match kind {
@@ -122,50 +128,8 @@ impl PolicyState {
         }
     }
 
-    /// Which kind of policy this is.
-    pub fn kind(&self) -> PolicyKind {
-        match self {
-            PolicyState::Lru(_) => PolicyKind::Lru,
-            PolicyState::Nru(_) => PolicyKind::Nru,
-            PolicyState::Bt(_) => PolicyKind::Bt,
-            PolicyState::Random(_) => PolicyKind::Random,
-            PolicyState::Fifo(_) => PolicyKind::Fifo,
-        }
-    }
-
-    /// Record an access (hit or fill) to `way` of `set`.
-    ///
-    /// `scope` is the set of ways over which the NRU saturation rule is
-    /// applied ("if all the used bits of the owned ways are set to 1, we
-    /// reset all used bits except the one that belongs to the line currently
-    /// accessed", Section III-A). For unpartitioned caches pass
-    /// `WayMask::full(assoc)`.
-    #[inline]
-    pub fn on_access(&mut self, set: usize, way: usize, scope: WayMask) {
-        match self {
-            PolicyState::Lru(p) => p.on_access(set, way),
-            PolicyState::Nru(p) => p.on_access(set, way, scope),
-            PolicyState::Bt(p) => p.on_access(set, way),
-            PolicyState::Random(_) | PolicyState::Fifo(_) => {}
-        }
-    }
-
-    /// Choose a victim among `allowed` ways of `set`. All `allowed` ways
-    /// must hold valid lines (the cache prefers invalid ways before asking).
-    #[inline]
-    pub fn victim(&mut self, set: usize, allowed: WayMask) -> usize {
-        debug_assert!(!allowed.is_empty(), "victim requested with empty mask");
-        match self {
-            PolicyState::Lru(p) => p.victim(set, allowed),
-            PolicyState::Nru(p) => p.victim(set, allowed),
-            PolicyState::Bt(p) => p.victim_masked(set, allowed),
-            PolicyState::Random(p) => p.victim(set, allowed),
-            PolicyState::Fifo(p) => p.victim(set, allowed),
-        }
-    }
-
     /// Reset all replacement state (used between experiment runs).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         match self {
             PolicyState::Lru(p) => p.reset(),
             PolicyState::Nru(p) => p.reset(),
@@ -191,10 +155,8 @@ pub(crate) trait ReplKernel {
     /// (only NRU's saturation rule consults the scope).
     fn touch(&mut self, set: usize, way: usize, scope: WayMask);
 
-    /// Choose a victim among `allowed` valid ways of `set`. `vectors` is
-    /// `Some` only under BT up/down vector enforcement; every policy but
-    /// BT ignores it and obeys the mask.
-    fn pick(&mut self, set: usize, allowed: WayMask, vectors: Option<BtVectors>) -> usize;
+    /// Choose a victim among `allowed` valid ways of `set`.
+    fn pick(&mut self, set: usize, allowed: WayMask) -> usize;
 }
 
 impl ReplKernel for Lru {
@@ -204,7 +166,7 @@ impl ReplKernel for Lru {
     }
 
     #[inline(always)]
-    fn pick(&mut self, set: usize, allowed: WayMask, _vectors: Option<BtVectors>) -> usize {
+    fn pick(&mut self, set: usize, allowed: WayMask) -> usize {
         self.victim(set, allowed)
     }
 }
@@ -216,7 +178,7 @@ impl ReplKernel for Nru {
     }
 
     #[inline(always)]
-    fn pick(&mut self, set: usize, allowed: WayMask, _vectors: Option<BtVectors>) -> usize {
+    fn pick(&mut self, set: usize, allowed: WayMask) -> usize {
         self.victim(set, allowed)
     }
 }
@@ -228,11 +190,8 @@ impl ReplKernel for Bt {
     }
 
     #[inline(always)]
-    fn pick(&mut self, set: usize, allowed: WayMask, vectors: Option<BtVectors>) -> usize {
-        match vectors {
-            Some(v) => self.victim_vectors(set, v),
-            None => self.victim_masked(set, allowed),
-        }
+    fn pick(&mut self, set: usize, allowed: WayMask) -> usize {
+        self.victim_masked(set, allowed)
     }
 }
 
@@ -241,7 +200,7 @@ impl ReplKernel for RandomRepl {
     fn touch(&mut self, _set: usize, _way: usize, _scope: WayMask) {}
 
     #[inline(always)]
-    fn pick(&mut self, set: usize, allowed: WayMask, _vectors: Option<BtVectors>) -> usize {
+    fn pick(&mut self, set: usize, allowed: WayMask) -> usize {
         self.victim(set, allowed)
     }
 }
@@ -251,7 +210,7 @@ impl ReplKernel for Fifo {
     fn touch(&mut self, _set: usize, _way: usize, _scope: WayMask) {}
 
     #[inline(always)]
-    fn pick(&mut self, set: usize, allowed: WayMask, _vectors: Option<BtVectors>) -> usize {
+    fn pick(&mut self, set: usize, allowed: WayMask) -> usize {
         self.victim(set, allowed)
     }
 }
@@ -281,26 +240,27 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_reports_kind() {
-        let s = PolicyState::new(PolicyKind::Nru, 4, 8, 0);
-        assert_eq!(s.kind(), PolicyKind::Nru);
-        assert_eq!(s.kind().acronym(), "N");
-    }
-
-    #[test]
     fn every_policy_yields_victims_within_mask() {
-        let assoc = 16;
-        let mask = WayMask::contiguous(4, 4);
-        for kind in PolicyKind::ALL {
-            let mut s = PolicyState::new(kind, 8, assoc, 7);
+        fn check<P: ReplKernel>(kind: PolicyKind, p: &mut P) {
+            let assoc = 16;
+            let mask = WayMask::contiguous(4, 4);
             // Touch every way once so state is non-trivial.
             for w in 0..assoc {
-                s.on_access(3, w, WayMask::full(assoc));
+                p.touch(3, w, WayMask::full(assoc));
             }
             for _ in 0..64 {
-                let v = s.victim(3, mask);
+                let v = p.pick(3, mask);
                 assert!(mask.contains(v), "{kind:?} escaped its mask: way {v}");
-                s.on_access(3, v, WayMask::full(assoc));
+                p.touch(3, v, WayMask::full(assoc));
+            }
+        }
+        for kind in PolicyKind::ALL {
+            match PolicyState::new(kind, 8, 16, 7) {
+                PolicyState::Lru(mut p) => check(kind, &mut p),
+                PolicyState::Nru(mut p) => check(kind, &mut p),
+                PolicyState::Bt(mut p) => check(kind, &mut p),
+                PolicyState::Random(mut p) => check(kind, &mut p),
+                PolicyState::Fifo(mut p) => check(kind, &mut p),
             }
         }
     }

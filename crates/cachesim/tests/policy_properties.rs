@@ -227,16 +227,14 @@ fn small_cache(policy: PolicyKind, num_cores: usize) -> Cache {
 }
 
 /// The partition enforcements the equivalence property cycles through:
-/// unpartitioned, replacement masks, per-set owner counters, and (for BT)
-/// the paper's up/down vectors on aligned subtrees.
+/// unpartitioned, replacement masks (for BT, the aligned-subtree halves a
+/// strict BT partition installs), and per-set owner counters.
 fn enforcement_for(choice: usize, policy: PolicyKind) -> Enforcement {
     match choice {
         0 => Enforcement::None,
-        1 if policy == PolicyKind::Bt => Enforcement::bt_vectors(
-            vec![WayMask::contiguous(0, 8), WayMask::contiguous(8, 8)],
-            ASSOC,
-        )
-        .unwrap(),
+        1 if policy == PolicyKind::Bt => {
+            Enforcement::masks(vec![WayMask::contiguous(0, 8), WayMask::contiguous(8, 8)])
+        }
         1 => Enforcement::masks(vec![WayMask::contiguous(0, 10), WayMask::contiguous(10, 6)]),
         _ => Enforcement::owner_counters(vec![10, 6]),
     }
@@ -393,22 +391,14 @@ fn edge_cache(policy: PolicyKind, assoc: usize, num_cores: usize) -> Cache {
 }
 
 /// Enforcement styles scaled to an arbitrary associativity: unpartitioned,
-/// a two-core way split (BT vectors on the aligned halves for BT, plain
-/// masks otherwise), and owner counters. Degenerate shapes fall back to
+/// a two-core way split (at BT's power-of-two shapes, the aligned-subtree
+/// halves a strict BT partition installs), and owner counters. Degenerate shapes fall back to
 /// the closest style that stays feasible: at assoc 1 both cores share the
 /// single way (masks may overlap; a counter quota per core cannot fit).
-fn enforcement_for_assoc(choice: usize, policy: PolicyKind, assoc: usize) -> Enforcement {
+fn enforcement_for_assoc(choice: usize, assoc: usize) -> Enforcement {
     let lo = assoc.div_ceil(2);
     match choice {
         0 => Enforcement::None,
-        1 if policy == PolicyKind::Bt => Enforcement::bt_vectors(
-            vec![
-                WayMask::contiguous(0, lo),
-                WayMask::contiguous(lo, assoc - lo),
-            ],
-            assoc,
-        )
-        .unwrap(),
         1 if assoc == 1 => Enforcement::masks(vec![WayMask::single(0), WayMask::single(0)]),
         1 => Enforcement::masks(vec![
             WayMask::contiguous(0, lo),
@@ -460,7 +450,7 @@ proptest! {
             .iter()
             .map(|&(core, line, w)| Access::new(core, line << 6, w == 0))
             .collect();
-        let enforcement = enforcement_for_assoc(enf_choice, policy, assoc);
+        let enforcement = enforcement_for_assoc(enf_choice, assoc);
         assert_batch_matches_oracle(policy, assoc, enforcement, &stream, chunk)?;
     }
 

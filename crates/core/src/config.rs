@@ -4,7 +4,7 @@
 //! A configuration acronym has three parts (Section V-B):
 //!
 //! * enforcement: `C` = per-set owner counters, `M` = global replacement
-//!   masks (or BT up/down vectors);
+//!   masks (for BT, walked by the masked tree walk);
 //! * replacement/profiling policy: `L` = true LRU, `N` = NRU, `BT` =
 //!   binary tree;
 //! * for NRU, the eSDH scaling factor: `1.0`, `0.75` or `0.5`.
@@ -22,8 +22,9 @@ use std::fmt;
 pub enum EnforcementStyle {
     /// Per-set owner counters (`C`): quota comparison against occupancy.
     OwnerCounters,
-    /// Global replacement masks (`M`); for BT this means the up/down
-    /// vectors (strict mode) or the generalized masked tree walk.
+    /// Global replacement masks (`M`). Under BT the masked tree walk
+    /// enforces them; in strict mode every mask is an aligned subtree, on
+    /// which that walk picks the paper's up/down-vector victim.
     Masks,
 }
 
@@ -81,18 +82,17 @@ pub struct CpaConfig {
     pub nru_scale: f64,
     /// NRU eSDH update mode (ignored for LRU/BT).
     pub nru_update: NruUpdateMode,
-    /// For BT + Masks: restrict partitions to aligned subtrees enforced by
-    /// the paper's up/down vectors (`true`), or allow arbitrary contiguous
-    /// masks via the generalized mask-guided tree walk (`false`, default).
+    /// For BT + Masks: restrict partitions to the aligned subtrees the
+    /// paper's up/down vectors can express (`true`), or allow arbitrary
+    /// contiguous masks (`false`, default). Both install way masks that
+    /// the generalized mask-guided tree walk enforces; on an aligned
+    /// subtree that walk selects the identical victim as the vectors.
     ///
     /// The paper's `log2(A)`-bit up/down vectors can only express
     /// power-of-two aligned subtrees, yet its MinMisses policy emits
-    /// arbitrary way counts; rounding every allocation to a subtree
-    /// throws away most of the partitioning benefit (measurably so — see
-    /// the `ablation` binary). The generalized walk selects the identical
-    /// victim as the vectors whenever the allocation *is* an aligned
-    /// subtree, and extends victim search naturally otherwise, so it is
-    /// the default.
+    /// arbitrary way counts, so strict mode rounds every allocation to
+    /// subtree sizes. Row (2) of the `ablation` binary compares the two
+    /// modes.
     pub bt_strict_vectors: bool,
     /// Partition-selection algorithm.
     pub selector: Selector,
@@ -161,7 +161,8 @@ impl CpaConfig {
         }
     }
 
-    /// `M-BT`: up/down vectors + binary tree.
+    /// `M-BT`: global masks + binary tree, enforced by the masked tree
+    /// walk (aligned subtrees only under `bt_strict_vectors`).
     pub fn m_bt() -> Self {
         Self::base(PolicyKind::Bt, EnforcementStyle::Masks)
     }

@@ -1,8 +1,8 @@
 //! The dynamic CPA controller: ties profiling, selection and enforcement
 //! together at every interval boundary.
 
-use crate::config::{CpaConfig, EnforcementStyle, Objective, Selector};
-use crate::enforce::{build_clustered_enforcement, equal_allocation};
+use crate::config::{CpaConfig, Objective, Selector};
+use crate::enforce::{build_enforcement, equal_allocation};
 use crate::minmisses::{fairness_minimax, min_misses_dp, min_misses_greedy};
 use crate::profiler::Profiler;
 use cachesim::{Addr, CacheError, CacheGeometry, Enforcement};
@@ -93,15 +93,6 @@ impl CpaController {
             // each, summing to assoc) is not forced into all-ones.
             (geom.assoc() / 2).max(1)
         };
-        if clusters < num_cores && config.enforcement == EnforcementStyle::OwnerCounters {
-            return Err(CacheError::BadPartition {
-                reason: format!(
-                    "owner-counter enforcement needs one quota way per core: \
-                     {num_cores} cores exceed {} ways (use an M-* scheme)",
-                    geom.assoc()
-                ),
-            });
-        }
         let profiler = Profiler::new(
             config.policy,
             geom,
@@ -110,7 +101,9 @@ impl CpaController {
             config.nru_update,
             config.fidelity(),
         )?;
+        // Owner counters reject a clustered split here, on its first build.
         let allocation = equal_allocation(clusters, geom.assoc());
+        build_enforcement(&config, &allocation, geom.assoc(), num_cores)?;
         Ok(CpaController {
             assoc: geom.assoc(),
             clusters,
@@ -145,7 +138,7 @@ impl CpaController {
 
     /// The enforcement for the starting equal split.
     pub fn initial_enforcement(&self) -> Enforcement {
-        build_clustered_enforcement(&self.config, &self.allocation, self.assoc, self.num_cores())
+        build_enforcement(&self.config, &self.allocation, self.assoc, self.num_cores())
             .expect("equal split is always enforceable")
     }
 
@@ -186,24 +179,16 @@ impl CpaController {
                     self.adapt_nru_scales(observed);
                 }
             }
-            // Per-cluster curves: at paper scale one curve per core; at
-            // many-core scale the elementwise sum of the members' curves
-            // (the cluster's demand as one aggregate tenant).
-            let curves: Vec<Vec<u64>> = if self.clusters == self.profilers.len() {
-                self.profilers
-                    .iter()
-                    .map(|p| p.sdh().miss_curve())
-                    .collect()
-            } else {
-                let mut sums = vec![vec![0u64; self.assoc + 1]; self.clusters];
-                for (c, p) in self.profilers.iter().enumerate() {
-                    let curve = p.sdh().miss_curve();
-                    for (acc, v) in sums[c % self.clusters].iter_mut().zip(curve) {
-                        *acc += v;
-                    }
+            // Per-cluster curves: the elementwise sum of the members'
+            // curves (the cluster's demand as one aggregate tenant); at
+            // paper scale every cluster is one core.
+            let mut curves = vec![vec![0u64; self.assoc + 1]; self.clusters];
+            for (c, p) in self.profilers.iter().enumerate() {
+                let curve = p.sdh().miss_curve();
+                for (acc, v) in curves[c % self.clusters].iter_mut().zip(curve) {
+                    *acc += v;
                 }
-                sums
-            };
+            }
             self.allocation = match self.config.objective {
                 Objective::Fairness => fairness_minimax(&curves, self.assoc),
                 Objective::MinMisses => match self.config.selector {
@@ -217,7 +202,7 @@ impl CpaController {
         }
         self.intervals += 1;
         self.history.push(self.allocation.clone());
-        build_clustered_enforcement(&self.config, &self.allocation, self.assoc, self.num_cores())
+        build_enforcement(&self.config, &self.allocation, self.assoc, self.num_cores())
             .expect("MinMisses allocations are always enforceable")
     }
 
@@ -345,22 +330,26 @@ mod tests {
                 c.observe((i % 4) as usize, sampled_addr(i % 10));
             }
             let e = c.on_interval();
-            assert!(e.is_partitioned(), "{}", cfg.acronym());
+            assert_ne!(e, Enforcement::None, "{}", cfg.acronym());
             assert_eq!(c.allocation().iter().sum::<usize>(), 16);
             assert!(c.allocation().iter().all(|&w| w >= 1));
         }
     }
 
     #[test]
-    fn bt_strict_mode_emits_vector_enforcement() {
+    fn bt_strict_mode_emits_aligned_subtree_masks() {
         let mut cfg = CpaConfig::m_bt();
         cfg.bt_strict_vectors = true;
         let mut c = CpaController::new(cfg, geom(), 2);
         for n in 0..6 {
             c.observe(0, sampled_addr(n));
         }
-        let e = c.on_interval();
-        assert!(matches!(e, Enforcement::BtVectors { .. }));
+        match c.on_interval() {
+            Enforcement::Masks(masks) => {
+                assert!(masks.iter().all(|m| m.is_aligned_subtree(16)));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
         assert_eq!(c.config().policy, PolicyKind::Bt);
     }
 
@@ -518,7 +507,7 @@ mod tests {
             }
         }
         let e = c.on_interval();
-        assert!(e.is_partitioned());
+        assert_ne!(e, Enforcement::None);
         let alloc = c.allocation();
         assert_eq!(alloc.iter().sum::<usize>(), 16);
         assert!(

@@ -1,5 +1,11 @@
 //! Translation of a ways-per-thread allocation into the enforcement
-//! mechanism the L2 supports.
+//! the L2 supports: one builder, two outcomes — way masks or owner
+//! quotas.
+//!
+//! The paper's BT up/down vectors (Section III-B, Figure 5) are not a
+//! third outcome. They can only express aligned subtrees, so strict BT
+//! rounds the allocation to subtree sizes and installs the subtrees as
+//! masks, on which BT's masked walk picks the vectors' own victim.
 
 use crate::config::{CpaConfig, EnforcementStyle};
 use cachesim::mask::contiguous_masks;
@@ -78,77 +84,46 @@ pub fn subtree_masks(sizes: &[usize], assoc: usize) -> Vec<WayMask> {
     masks
 }
 
-/// Build the L2 [`Enforcement`] realising `alloc` under a configuration.
+/// Build the L2 [`Enforcement`] realising `alloc` for `num_cores` cores
+/// under a configuration: way masks or owner quotas.
+///
+/// `alloc[k]` is the ways of entry `k`, and core `c` takes entry
+/// `c % alloc.len()`. At paper scale there is one entry per core. Past
+/// `assoc` tenants the controller passes one entry per cluster, and the
+/// cluster's cores share its mask. Strict BT rounds the allocation to
+/// aligned subtrees ([`round_to_subtree_sizes`], [`subtree_masks`]) and
+/// installs them as plain masks: on an aligned subtree BT's masked walk
+/// picks the victim the paper's up/down vectors would. Owner counters
+/// cannot share, since quotas need one way per core, so `C-*` schemes
+/// reject more cores than entries with a one-line error.
 pub fn build_enforcement(
     cfg: &CpaConfig,
     alloc: &[usize],
     assoc: usize,
-) -> Result<Enforcement, CacheError> {
-    match cfg.enforcement {
-        EnforcementStyle::OwnerCounters => Ok(Enforcement::owner_counters(alloc.to_vec())),
-        EnforcementStyle::Masks => {
-            if cfg.policy == PolicyKind::Bt && cfg.bt_strict_vectors {
-                let sizes = round_to_subtree_sizes(alloc, assoc);
-                let masks = subtree_masks(&sizes, assoc);
-                Enforcement::bt_vectors(masks, assoc)
-            } else {
-                let masks =
-                    contiguous_masks(alloc, assoc).ok_or_else(|| CacheError::BadPartition {
-                        reason: format!("allocation {alloc:?} infeasible for {assoc} ways"),
-                    })?;
-                Ok(Enforcement::masks(masks))
-            }
-        }
-    }
-}
-
-/// Build the L2 [`Enforcement`] for `num_cores` cores grouped round-robin
-/// into `cluster_alloc.len()` clusters (core `c` -> cluster
-/// `c % clusters`), where `cluster_alloc[k]` is the ways of cluster `k`.
-///
-/// This is how CPA scales past `assoc` tenants: mask enforcement permits
-/// several cores to *share* one mask, so each cluster's cores jointly own
-/// its contiguous way range (and jointly fill one profiling miss curve).
-/// With `num_cores == clusters` it reduces to [`build_enforcement`]
-/// exactly. Owner counters cannot share — quotas must sum to the
-/// associativity with one way minimum per core — so `C-*` schemes reject
-/// the many-core case with a one-line error.
-pub fn build_clustered_enforcement(
-    cfg: &CpaConfig,
-    cluster_alloc: &[usize],
-    assoc: usize,
     num_cores: usize,
 ) -> Result<Enforcement, CacheError> {
-    let clusters = cluster_alloc.len();
-    if num_cores == clusters {
-        return build_enforcement(cfg, cluster_alloc, assoc);
-    }
+    let per_core = |masks: Vec<WayMask>| {
+        Enforcement::masks((0..num_cores).map(|c| masks[c % masks.len()]).collect())
+    };
     match cfg.enforcement {
-        EnforcementStyle::OwnerCounters => Err(CacheError::BadPartition {
-            reason: format!(
-                "owner-counter enforcement needs one quota way per core: \
-                 {num_cores} cores exceed {assoc} ways (use an M-* scheme)"
-            ),
-        }),
+        EnforcementStyle::OwnerCounters if num_cores > alloc.len() => {
+            Err(CacheError::BadPartition {
+                reason: format!(
+                    "owner-counter enforcement needs one quota way per core: \
+                     {num_cores} cores exceed {assoc} ways (use an M-* scheme)"
+                ),
+            })
+        }
+        EnforcementStyle::OwnerCounters => Ok(Enforcement::owner_counters(alloc.to_vec())),
+        EnforcementStyle::Masks if cfg.policy == PolicyKind::Bt && cfg.bt_strict_vectors => Ok(
+            per_core(subtree_masks(&round_to_subtree_sizes(alloc, assoc), assoc)),
+        ),
         EnforcementStyle::Masks => {
-            if cfg.policy == PolicyKind::Bt && cfg.bt_strict_vectors {
-                let sizes = round_to_subtree_sizes(cluster_alloc, assoc);
-                let cluster_masks = subtree_masks(&sizes, assoc);
-                let per_core: Vec<WayMask> = (0..num_cores)
-                    .map(|c| cluster_masks[c % clusters])
-                    .collect();
-                Enforcement::bt_vectors(per_core, assoc)
-            } else {
-                let cluster_masks = contiguous_masks(cluster_alloc, assoc).ok_or_else(|| {
-                    CacheError::BadPartition {
-                        reason: format!("allocation {cluster_alloc:?} infeasible for {assoc} ways"),
-                    }
-                })?;
-                let per_core: Vec<WayMask> = (0..num_cores)
-                    .map(|c| cluster_masks[c % clusters])
-                    .collect();
-                Ok(Enforcement::masks(per_core))
-            }
+            contiguous_masks(alloc, assoc)
+                .map(per_core)
+                .ok_or_else(|| CacheError::BadPartition {
+                    reason: format!("allocation {alloc:?} infeasible for {assoc} ways"),
+                })
         }
     }
 }
@@ -213,14 +188,14 @@ mod tests {
     #[test]
     fn build_counters_enforcement() {
         let cfg = CpaConfig::c_l();
-        let e = build_enforcement(&cfg, &[10, 6], 16).unwrap();
+        let e = build_enforcement(&cfg, &[10, 6], 16, 2).unwrap();
         assert_eq!(e, Enforcement::owner_counters(vec![10, 6]));
     }
 
     #[test]
     fn build_mask_enforcement() {
         let cfg = CpaConfig::m_l();
-        let e = build_enforcement(&cfg, &[10, 6], 16).unwrap();
+        let e = build_enforcement(&cfg, &[10, 6], 16, 2).unwrap();
         match e {
             Enforcement::Masks(masks) => {
                 assert_eq!(masks[0].count(), 10);
@@ -234,14 +209,16 @@ mod tests {
     fn build_bt_strict_enforcement_rounds() {
         let mut cfg = CpaConfig::m_bt();
         cfg.bt_strict_vectors = true;
-        let e = build_enforcement(&cfg, &[10, 6], 16).unwrap();
+        let e = build_enforcement(&cfg, &[10, 6], 16, 2).unwrap();
         match e {
-            Enforcement::BtVectors { masks, vectors } => {
-                assert_eq!(masks.len(), 2);
+            Enforcement::Masks(masks) => {
+                assert_eq!(
+                    masks,
+                    vec![WayMask::contiguous(0, 8), WayMask::contiguous(8, 8)]
+                );
                 assert!(masks.iter().all(|m| m.is_aligned_subtree(16)));
-                assert!(vectors.iter().all(|v| v.is_valid()));
             }
-            other => panic!("expected BT vectors, got {other:?}"),
+            other => panic!("expected aligned-subtree masks, got {other:?}"),
         }
     }
 
@@ -249,15 +226,18 @@ mod tests {
     fn build_bt_generalized_uses_plain_masks_by_default() {
         let cfg = CpaConfig::m_bt();
         assert!(!cfg.bt_strict_vectors, "generalized walk is the default");
-        let e = build_enforcement(&cfg, &[10, 6], 16).unwrap();
-        assert!(matches!(e, Enforcement::Masks(_)));
+        let e = build_enforcement(&cfg, &[10, 6], 16, 2).unwrap();
+        assert_eq!(
+            e,
+            build_enforcement(&CpaConfig::m_l(), &[10, 6], 16, 2).unwrap()
+        );
     }
 
     #[test]
     fn clustered_masks_are_shared_round_robin() {
         let cfg = CpaConfig::m_l();
         // 4 clusters of 4 ways each, 10 cores.
-        let e = build_clustered_enforcement(&cfg, &[4, 4, 4, 4], 16, 10).unwrap();
+        let e = build_enforcement(&cfg, &[4, 4, 4, 4], 16, 10).unwrap();
         match e {
             Enforcement::Masks(masks) => {
                 assert_eq!(masks.len(), 10);
@@ -272,31 +252,24 @@ mod tests {
     #[test]
     fn clustered_owner_counters_rejected_with_one_line_error() {
         let cfg = CpaConfig::c_l();
-        let err = build_clustered_enforcement(&cfg, &[8, 8], 16, 64).unwrap_err();
+        let err = build_enforcement(&cfg, &[8, 8], 16, 64).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("M-*"), "unexpected error: {msg}");
         assert!(!msg.contains('\n'), "error must be one line");
     }
 
     #[test]
-    fn clustered_reduces_to_plain_when_counts_match() {
-        let cfg = CpaConfig::m_l();
-        let a = build_clustered_enforcement(&cfg, &[10, 6], 16, 2).unwrap();
-        let b = build_enforcement(&cfg, &[10, 6], 16).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn clustered_bt_strict_shares_subtrees() {
         let mut cfg = CpaConfig::m_bt();
         cfg.bt_strict_vectors = true;
-        let e = build_clustered_enforcement(&cfg, &[8, 8], 16, 6).unwrap();
+        let e = build_enforcement(&cfg, &[8, 8], 16, 6).unwrap();
         match e {
-            Enforcement::BtVectors { masks, .. } => {
+            Enforcement::Masks(masks) => {
                 assert_eq!(masks.len(), 6);
                 assert_eq!(masks[0], masks[2]);
+                assert!(masks.iter().all(|m| m.is_aligned_subtree(16)));
             }
-            other => panic!("expected BT vectors, got {other:?}"),
+            other => panic!("expected aligned-subtree masks, got {other:?}"),
         }
     }
 

@@ -22,10 +22,13 @@
 //! * **Partition selection** — the MinMisses algorithm ([`minmisses`]),
 //!   both as an exact dynamic program and as the classical greedy
 //!   marginal-gain heuristic.
-//! * **Partition enforcement** — translation of a way allocation into the
-//!   mechanism the L2 actually supports ([`enforce`]): per-set owner
-//!   counters (`C`), global replacement masks (`M`), or BT up/down
-//!   vectors (strict aligned-subtree mode or the generalized masked walk).
+//! * **Partition enforcement** — one builder ([`enforce`]) translates a way
+//!   allocation into per-set owner quotas (`C`) or global replacement
+//!   masks (`M`). For BT, strict mode rounds the allocation to the aligned
+//!   subtrees the paper's up/down vectors can express and installs them
+//!   as masks: on those, BT's masked walk picks the vectors' own victim.
+//!   `hwmodel` still prices the vectors as the paper's hardware
+//!   (Table I).
 //! * **The dynamic controller** ([`controller::CpaController`]) that ties
 //!   it together at every interval boundary (1 M cycles in the paper).
 //!

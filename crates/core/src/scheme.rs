@@ -30,11 +30,13 @@
 //! ## The registry
 //!
 //! [`registry`] enumerates every replacement policy together with its
-//! capability flags: which [`EnforcementStyle`]s its CPA can run (empty
-//! for the reference policies, which have no profiling logic and are
-//! therefore bare-only). Invalid combinations — `M-R`, `C-F`, an NRU
-//! scale outside `(0, 1]` — are rejected **at parse time** with a
-//! one-line error instead of panicking deep inside the controller.
+//! capability flags: whether a CPA can partition it (with either
+//! [`EnforcementStyle`]; the reference policies have no profiling logic
+//! and are therefore bare-only), and whether its acronym carries an eSDH
+//! scale. Invalid combinations — `M-R`, `C-F`, an NRU scale outside
+//! `(0, 1]` — are rejected **at parse time** (and by
+//! [`Scheme::partitioned`], which deserialization also goes through) with
+//! a one-line error instead of panicking deep inside the controller.
 //!
 //! ```
 //! use plru_core::{CpaConfig, Scheme};
@@ -73,29 +75,15 @@ pub struct PolicyEntry {
     pub acronym: &'static str,
     /// Human-readable name.
     pub name: &'static str,
-    /// Enforcement styles a dynamic CPA can pair with this policy; empty
-    /// means the policy has no profiling logic and runs bare only.
-    pub enforcements: &'static [EnforcementStyle],
+    /// Can a dynamic CPA partition this policy (with either enforcement
+    /// style)? `false` means the policy has no profiling logic and runs
+    /// bare only.
+    pub partitionable: bool,
     /// Does the CPA acronym carry an eSDH scaling factor (NRU only)?
     pub scaled: bool,
     /// One-line description (shown by `sweep --list-schemes`).
     pub summary: &'static str,
 }
-
-impl PolicyEntry {
-    /// Can a CPA with this policy use the given enforcement style?
-    pub fn supports(&self, style: EnforcementStyle) -> bool {
-        self.enforcements.contains(&style)
-    }
-
-    /// Does the policy support dynamic partitioning at all?
-    pub fn partitionable(&self) -> bool {
-        !self.enforcements.is_empty()
-    }
-}
-
-const BOTH_STYLES: &[EnforcementStyle] =
-    &[EnforcementStyle::OwnerCounters, EnforcementStyle::Masks];
 
 /// The policy registry, in canonical order. Adding a policy here (plus
 /// its `cachesim` kernel) is all the scheme layer needs to parse, print,
@@ -105,7 +93,7 @@ const REGISTRY: &[PolicyEntry] = &[
         kind: PolicyKind::Lru,
         acronym: "L",
         name: "true LRU",
-        enforcements: BOTH_STYLES,
+        partitionable: true,
         scaled: false,
         summary: "exact stack ranks; the classical CPA baseline",
     },
@@ -113,7 +101,7 @@ const REGISTRY: &[PolicyEntry] = &[
         kind: PolicyKind::Nru,
         acronym: "N",
         name: "NRU",
-        enforcements: BOTH_STYLES,
+        partitionable: true,
         scaled: true,
         summary: "used bits + global pointer (UltraSPARC T2); eSDH scaled by S",
     },
@@ -121,7 +109,7 @@ const REGISTRY: &[PolicyEntry] = &[
         kind: PolicyKind::Bt,
         acronym: "BT",
         name: "binary-tree pseudo-LRU",
-        enforcements: BOTH_STYLES,
+        partitionable: true,
         scaled: false,
         summary: "A-1 tree bits (IBM); eSDH from path XOR, up/down vectors",
     },
@@ -129,7 +117,7 @@ const REGISTRY: &[PolicyEntry] = &[
         kind: PolicyKind::Random,
         acronym: "R",
         name: "random",
-        enforcements: &[],
+        partitionable: false,
         scaled: false,
         summary: "seeded uniform victim; reference, no profiling logic",
     },
@@ -137,7 +125,7 @@ const REGISTRY: &[PolicyEntry] = &[
         kind: PolicyKind::Fifo,
         acronym: "F",
         name: "FIFO",
-        enforcements: &[],
+        partitionable: false,
         scaled: false,
         summary: "per-set fill pointer; recency-blind reference, no profiling logic",
     },
@@ -190,10 +178,11 @@ fn bare_acronyms() -> String {
 /// A replacement policy plus an optional dynamic-CPA configuration — one
 /// point of the paper's policy × partitioning cross-product.
 ///
-/// The invariant `cpa.policy == policy` (and "the policy supports the
-/// CPA's enforcement style") holds by construction: both the parser and
-/// [`Scheme::partitioned`] validate against the [`registry`], so an
-/// invalid combination can never reach the controller.
+/// The invariant `cpa.policy == policy` (and "the policy is
+/// partitionable", and an NRU scale in `(0, 1]`) holds by construction:
+/// the parser and deserialization both go through [`Scheme::partitioned`],
+/// which validates against the [`registry`], so an invalid combination
+/// can never reach the controller.
 ///
 /// `Scheme` serializes with full fidelity (the embedded [`CpaConfig`]
 /// keeps overrides like `interval_cycles` that the acronym cannot carry),
@@ -213,20 +202,20 @@ impl Scheme {
     /// A dynamically partitioned scheme; the L2 policy is the CPA's
     /// profiling policy (the paper always pairs them).
     ///
-    /// Errors when the registry says the policy has no profiling logic or
-    /// does not support the configuration's enforcement style.
+    /// Errors when the registry says the policy has no profiling logic,
+    /// or when a scaled policy's eSDH scale lies outside `(0, 1]`.
     pub fn partitioned(cpa: CpaConfig) -> Result<Self, SchemeError> {
         let entry = policy_entry(cpa.policy);
-        if !entry.partitionable() {
+        if !entry.partitionable {
             return Err(SchemeError::new(format!(
                 "policy {} ({}) has no profiling logic and cannot be partitioned",
                 entry.acronym, entry.name
             )));
         }
-        if !entry.supports(cpa.enforcement) {
+        if entry.scaled && !(cpa.nru_scale > 0.0 && cpa.nru_scale <= 1.0) {
             return Err(SchemeError::new(format!(
-                "policy {} ({}) does not support {:?} enforcement",
-                entry.acronym, entry.name, cpa.enforcement
+                "{} eSDH scale {} outside (0, 1]",
+                entry.name, cpa.nru_scale
             )));
         }
         Ok(Scheme {
@@ -366,12 +355,6 @@ impl FromStr for Scheme {
                     entry.name
                 ))
             })?;
-            if !(scale > 0.0 && scale <= 1.0) {
-                return Err(SchemeError::new(format!(
-                    "scheme `{s}`: {} eSDH scale {scale} outside (0, 1]",
-                    entry.name
-                )));
-            }
             (entry, Some(scale))
         } else {
             return Err(SchemeError::new(format!(
@@ -381,7 +364,7 @@ impl FromStr for Scheme {
             )));
         };
 
-        if !entry.partitionable() {
+        if !entry.partitionable {
             return Err(SchemeError::new(format!(
                 "scheme `{s}`: policy {} ({}) has no profiling logic and cannot \
                  be partitioned — run it bare as `{}`",
@@ -395,16 +378,18 @@ impl FromStr for Scheme {
             )));
         }
 
-        let base = match entry.kind {
+        let mut cpa = match entry.kind {
             PolicyKind::Lru => CpaConfig::c_l(),
-            PolicyKind::Nru => CpaConfig::m_nru(scale.expect("checked above")),
+            PolicyKind::Nru => CpaConfig::m_nru(0.75),
             PolicyKind::Bt => CpaConfig::m_bt(),
             PolicyKind::Random | PolicyKind::Fifo => unreachable!("rejected above"),
         };
-        Scheme::partitioned(CpaConfig {
-            enforcement,
-            ..base
-        })
+        cpa.enforcement = enforcement;
+        if let Some(scale) = scale {
+            cpa.nru_scale = scale;
+        }
+        // The scale's range is checked once, by `partitioned`.
+        Scheme::partitioned(cpa).map_err(|e| SchemeError::new(format!("scheme `{s}`: {e}")))
     }
 }
 
@@ -514,6 +499,33 @@ mod tests {
             ..CpaConfig::m_l()
         };
         assert!(Scheme::partitioned(bad).is_err());
+    }
+
+    #[test]
+    fn bad_nru_scales_are_one_line_errors_from_every_constructor() {
+        for scale in [1.5, 0.0, f64::NAN] {
+            let cpa = CpaConfig {
+                nru_scale: scale,
+                ..CpaConfig::m_nru(0.75)
+            };
+            let direct = Scheme::partitioned(cpa.clone()).unwrap_err().to_string();
+            let wire = Value::Object(vec![("Cpa".to_string(), cpa.to_value())]);
+            let deserialized = Scheme::from_value(&wire).unwrap_err().to_string();
+            for msg in [direct, deserialized] {
+                assert!(msg.contains("outside (0, 1]"), "{scale}: {msg}");
+                assert!(!msg.contains('\n'), "{scale}: error must be one line");
+            }
+        }
+        for bad in ["1.5", "0.0"] {
+            let json = serde_json::to_string(&Scheme::partitioned(CpaConfig::m_nru(0.75)).unwrap())
+                .unwrap()
+                .replace("\"nru_scale\":0.75", &format!("\"nru_scale\":{bad}"));
+            let msg = serde_json::from_str::<Scheme>(&json)
+                .unwrap_err()
+                .to_string();
+            assert!(msg.contains("outside (0, 1]"), "{bad}: {msg}");
+            assert!(!msg.contains('\n'), "{bad}: error must be one line");
+        }
     }
 
     #[test]

@@ -97,21 +97,10 @@ fn list_schemes() {
     let (acr, policy, part) = ("acr", "policy", "partitioning");
     println!("  {acr:<3} {policy:<22} {part:<13} summary");
     for e in scheme::registry() {
-        let styles = if e.enforcements.is_empty() {
-            "bare only".to_string()
-        } else {
-            let mut tags: Vec<&str> = Vec::new();
-            for style in e.enforcements {
-                tags.push(match style {
-                    plru_core::EnforcementStyle::OwnerCounters => "C",
-                    plru_core::EnforcementStyle::Masks => "M",
-                });
-            }
-            format!(
-                "{}{}",
-                tags.join(", "),
-                if e.scaled { " (scaled)" } else { "" }
-            )
+        let styles = match (e.partitionable, e.scaled) {
+            (false, _) => "bare only",
+            (true, false) => "C, M",
+            (true, true) => "C, M (scaled)",
         };
         println!(
             "  {:<3} {:<22} {:<13} {}",

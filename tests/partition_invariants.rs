@@ -151,7 +151,7 @@ fn all_paper_configs_build_valid_enforcement() {
                     alloc[(x >> 33) as usize % n] += 1;
                     left -= 1;
                 }
-                let e = build_enforcement(&cfg, &alloc, 16)
+                let e = build_enforcement(&cfg, &alloc, 16, n)
                     .unwrap_or_else(|err| panic!("{}: {err}", cfg.acronym()));
                 e.validate(16, n)
                     .unwrap_or_else(|err| panic!("{}: {err}", cfg.acronym()));

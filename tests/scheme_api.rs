@@ -10,7 +10,7 @@ use plru_repro::prelude::*;
 use proptest::prelude::*;
 
 /// Any valid scheme, built from registry components: a bare policy, or a
-/// CPA pairing a profiled policy with a supported enforcement style (NRU
+/// CPA pairing a partitionable policy with either enforcement style (NRU
 /// additionally drawing its eSDH scale from (0, 1]).
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
     // One template pool covering both shapes: bare acronyms verbatim, CPA
@@ -19,12 +19,8 @@ fn arb_scheme() -> impl Strategy<Value = Scheme> {
         .iter()
         .map(|e| (e.acronym.to_string(), false))
         .collect();
-    for e in registry().iter().filter(|e| e.partitionable()) {
-        for style in e.enforcements {
-            let enf = match style {
-                EnforcementStyle::OwnerCounters => "C",
-                EnforcementStyle::Masks => "M",
-            };
+    for e in registry().iter().filter(|e| e.partitionable) {
+        for enf in ["C", "M"] {
             templates.push((format!("{enf}-{{}}{}", e.acronym), e.scaled));
         }
     }
@@ -81,7 +77,7 @@ fn every_baseline_scheme_round_trips() {
 #[test]
 fn invalid_combos_fail_at_parse_with_one_line_errors() {
     // Every non-partitionable policy rejects both enforcement styles.
-    for e in registry().iter().filter(|e| !e.partitionable()) {
+    for e in registry().iter().filter(|e| !e.partitionable) {
         for enf in ["C", "M"] {
             let bad = format!("{enf}-{}", e.acronym);
             let err = bad.parse::<Scheme>().unwrap_err().to_string();
@@ -121,16 +117,22 @@ fn scale_spelling_variants_collapse_to_the_canonical_form() {
 #[test]
 fn capability_queries_match_the_simulator() {
     // The profilable policies take both enforcement styles; the reference
-    // policies take neither — exactly what ProfilerState supports.
+    // policies take neither — exactly the policies a `Profiler` exists for.
     for e in registry() {
-        let styles = [EnforcementStyle::OwnerCounters, EnforcementStyle::Masks];
-        match e.kind {
-            PolicyKind::Lru | PolicyKind::Nru | PolicyKind::Bt => {
-                assert!(styles.iter().all(|&s| e.supports(s)), "{}", e.acronym);
-            }
-            PolicyKind::Random | PolicyKind::Fifo => {
-                assert!(!e.partitionable(), "{}", e.acronym);
-            }
+        let profiled = matches!(e.kind, PolicyKind::Lru | PolicyKind::Nru | PolicyKind::Bt);
+        assert_eq!(e.partitionable, profiled, "{}", e.acronym);
+        for enforcement in [EnforcementStyle::OwnerCounters, EnforcementStyle::Masks] {
+            let cpa = CpaConfig {
+                policy: e.kind,
+                enforcement,
+                ..CpaConfig::m_nru(0.75)
+            };
+            assert_eq!(
+                Scheme::partitioned(cpa).is_ok(),
+                profiled,
+                "{} {enforcement:?}",
+                e.acronym
+            );
         }
     }
     assert_eq!(scheme::policy_entry(PolicyKind::Fifo).acronym, "F");
