@@ -5,7 +5,7 @@
 //! containers and golden sweep reports).
 
 use plru_repro::plru_core::scheme::{self, registry};
-use plru_repro::plru_core::EnforcementStyle;
+use plru_repro::plru_core::{EnforcementStyle, NruUpdateMode, ProfilerFidelity};
 use plru_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -118,8 +118,17 @@ fn scale_spelling_variants_collapse_to_the_canonical_form() {
 fn capability_queries_match_the_simulator() {
     // The profilable policies take both enforcement styles; the reference
     // policies take neither — exactly the policies a `Profiler` exists for.
+    let geom = CacheGeometry::new(2 * 1024 * 1024, 16, 128).unwrap();
     for e in registry() {
-        let profiled = matches!(e.kind, PolicyKind::Lru | PolicyKind::Nru | PolicyKind::Bt);
+        let profiled = Profiler::new(
+            e.kind,
+            geom,
+            32,
+            0.75,
+            NruUpdateMode::Scaled,
+            ProfilerFidelity::Exact,
+        )
+        .is_ok();
         assert_eq!(e.partitionable, profiled, "{}", e.acronym);
         for enforcement in [EnforcementStyle::OwnerCounters, EnforcementStyle::Masks] {
             let cpa = CpaConfig {
