@@ -334,4 +334,201 @@ mod tests {
         let err = decompress(&comp, 0, &mut out).unwrap_err();
         assert!(err.contains("symbol table claims"), "{err}");
     }
+
+    /// The code-at-a-time decoder, one `extend_from_slice` per code: the
+    /// reference `decompress` is diffed against.
+    fn decompress_reference(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), String> {
+        out.clear();
+        out.reserve(raw_len);
+        let (&n, mut rest) = input
+            .split_first()
+            .ok_or("compressed chunk is empty (no symbol table)")?;
+        let n = n as usize;
+        if n > MAX_SYMBOLS {
+            return Err(format!(
+                "symbol table claims {n} entries (max {MAX_SYMBOLS})"
+            ));
+        }
+        let mut table: Vec<&[u8]> = Vec::with_capacity(n);
+        for i in 0..n {
+            let (&len, after) = rest
+                .split_first()
+                .ok_or_else(|| format!("symbol table truncated at entry {i}"))?;
+            let len = len as usize;
+            if len == 0 || len > MAX_SYMBOL_LEN {
+                return Err(format!("symbol {i} has invalid length {len}"));
+            }
+            if after.len() < len {
+                return Err(format!("symbol table truncated inside entry {i}"));
+            }
+            table.push(&after[..len]);
+            rest = &after[len..];
+        }
+        let mut codes = rest.iter();
+        while let Some(&code) = codes.next() {
+            let sym: &[u8] = if code == ESCAPE {
+                let lit = codes.next().ok_or("dangling escape at end of chunk")?;
+                std::slice::from_ref(lit)
+            } else if (code as usize) < table.len() {
+                table[code as usize]
+            } else {
+                return Err(format!(
+                    "invalid symbol code {code} (table has {n} entries)"
+                ));
+            };
+            if out.len() + sym.len() > raw_len {
+                return Err(format!(
+                    "chunk decompresses past its declared {raw_len} bytes"
+                ));
+            }
+            out.extend_from_slice(sym);
+        }
+        if out.len() != raw_len {
+            return Err(format!(
+                "chunk decompressed to {} bytes, header claims {raw_len}",
+                out.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// `decompress` and the reference give the same bytes or the same
+    /// error on `input`. The output buffer starts dirty, as a reused
+    /// scratch buffer does.
+    fn assert_same(input: &[u8], raw_len: usize) {
+        let mut got = vec![0xA5; 3];
+        let mut want = Vec::new();
+        let got = decompress(input, raw_len, &mut got).map(|()| got);
+        let want = decompress_reference(input, raw_len, &mut want).map(|()| want);
+        assert_eq!(got, want, "{} input bytes, raw_len {raw_len}", input.len());
+    }
+
+    /// Compress `raw`, then diff both decoders on the valid payload, on
+    /// `raw_len` off by one either way, cut short by 1–9 bytes, with one
+    /// byte appended and with single bytes flipped.
+    fn assert_same_under_corruption(raw: &[u8]) {
+        let mut comp = Vec::new();
+        compress(raw, &mut comp);
+        let n = raw.len();
+        assert_same(&comp, n);
+        assert_same(&comp, n + 1);
+        if n > 0 {
+            assert_same(&comp, n - 1);
+        }
+        for cut in 1..=9.min(comp.len()) {
+            assert_same(&comp[..comp.len() - cut], n);
+        }
+        for extra in [0x00, 0x01, 0x7f, 0xfe, ESCAPE] {
+            comp.push(extra);
+            assert_same(&comp, n);
+            comp.pop();
+        }
+        // Every position of a small payload; ~64 spread over a large one.
+        let step = (comp.len() / 64).max(1);
+        for i in (0..comp.len()).step_by(step) {
+            for mask in [0x01, 0x80, 0xff] {
+                comp[i] ^= mask;
+                assert_same(&comp, n);
+                comp[i] ^= mask;
+            }
+        }
+    }
+
+    /// A deterministic xorshift byte stream.
+    fn random_bytes(seed: u64, len: usize, alphabet: u8) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match alphabet {
+                    0 => x as u8,
+                    a => (x % u64::from(a)) as u8,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decompress_matches_the_reference_on_random_payloads() {
+        for (seed, len) in [(1, 0), (2, 1), (3, 7), (4, 8), (5, 9), (6, 63), (7, 600)] {
+            for alphabet in [0, 3, 17] {
+                assert_same_under_corruption(&random_bytes(seed, len, alphabet));
+            }
+        }
+        assert_same_under_corruption(&random_bytes(8, 3000, 0));
+        assert_same_under_corruption(&random_bytes(9, 3000, 40));
+    }
+
+    #[test]
+    fn decompress_matches_the_reference_on_generator_payloads() {
+        use crate::trace::{TraceMeta, TraceWriter};
+        for (bench, seed) in [("mcf", 1), ("twolf", 2), ("gzip", 3)] {
+            let meta = TraceMeta {
+                workload: bench.into(),
+                benchmarks: vec![bench.into()],
+                seed,
+                seed_salt: 0,
+                insts: 0,
+                scheme: None,
+            };
+            let mut w = TraceWriter::create(std::io::Cursor::new(Vec::new()), &meta).unwrap();
+            let mut g = crate::TraceGenerator::new(crate::benchmark(bench).unwrap(), seed);
+            for _ in 0..1000 {
+                w.push(0, g.next_record()).unwrap();
+            }
+            // A v1 container is mostly the varint/delta stream a chunk
+            // payload holds.
+            let bytes = w.finish().unwrap().into_inner();
+            assert_same_under_corruption(&bytes);
+            for window in bytes.chunks(499).take(3) {
+                assert_same_under_corruption(window);
+            }
+        }
+    }
+
+    #[test]
+    fn decompress_matches_the_reference_on_hand_picked_payloads() {
+        let full_table: Vec<u8> = std::iter::once(MAX_SYMBOLS as u8)
+            .chain((0..MAX_SYMBOLS).flat_map(|i| [1, i as u8]))
+            .collect();
+        let with = |codes: &[u8]| [full_table.as_slice(), codes].concat();
+        let cases: Vec<(Vec<u8>, usize)> = vec![
+            // Code 0xFE: never a symbol, even under a full table.
+            (vec![1, 1, b'x', 0xFE], 1),
+            (with(&[253, 0xFE]), 2),
+            (with(&[253, 0]), 2),
+            // An escape as the last code.
+            (vec![0, ESCAPE], 1),
+            (vec![1, 2, b'a', b'b', 0, ESCAPE], 3),
+            (vec![0, ESCAPE, b'q', ESCAPE], 2),
+            // A table truncated at and inside an entry.
+            (vec![3, 2, b'a'], 10),
+            (vec![2, 1, b'a'], 10),
+            (vec![1, 8, 1, 2, 3, 4, 5, 6, 7], 8),
+            // Invalid symbol lengths.
+            (vec![1, 0, 0], 0),
+            (vec![1, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0], 9),
+            // Eight-byte symbols filling the output exactly, and one byte
+            // past it.
+            (vec![1, 8, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0], 16),
+            (vec![1, 8, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0], 15),
+            (vec![1, 8, 1, 2, 3, 4, 5, 6, 7, 8, 0, ESCAPE, 9], 9),
+            // Escaped literals of every kind, including the escape byte.
+            (vec![0, ESCAPE, 0, ESCAPE, ESCAPE, ESCAPE, 0xFE], 3),
+            // Codes with no table, and an empty stream.
+            (vec![0, 0], 1),
+            (vec![0], 0),
+            (vec![0], 1),
+            (vec![], 0),
+        ];
+        for (input, raw_len) in cases {
+            assert_same(&input, raw_len);
+            for delta in [1, 8] {
+                assert_same(&input, raw_len + delta);
+                assert_same(&input, raw_len.saturating_sub(delta));
+            }
+        }
+    }
 }

@@ -1591,6 +1591,223 @@ mod tests {
         }
     }
 
+    /// The varint-at-a-time decoder, one `read_exact` per byte: the
+    /// reference `decode_chunk` is diffed against.
+    fn decode_chunk_reference(
+        payload: &[u8],
+        records: u32,
+        out: &mut Vec<MemRecord>,
+    ) -> Result<(), TraceError> {
+        let mut cur = payload;
+        let mut prev_addr = 0u64;
+        for _ in 0..records {
+            let v = read_varint(&mut cur).map_err(|_| TraceError::format("truncated record"))?;
+            let gap = u32::try_from(v >> 1).map_err(|_| TraceError::format("gap overflows u32"))?;
+            let delta = unzigzag(
+                read_varint(&mut cur).map_err(|_| TraceError::format("truncated record"))?,
+            );
+            let addr = prev_addr.wrapping_add(delta as u64);
+            out.push(MemRecord {
+                gap,
+                addr,
+                is_write: v & 1 == 1,
+            });
+            prev_addr = addr;
+        }
+        if !cur.is_empty() {
+            return Err(TraceError::format(format!(
+                "chunk payload has {} trailing bytes",
+                cur.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// `decode_chunk` and the reference give the same records or the
+    /// same error on `payload`.
+    fn assert_same_records(payload: &[u8], records: u32) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let got = decode_chunk(payload, records, &mut got)
+            .map(|()| got)
+            .map_err(|e| e.to_string());
+        let want = decode_chunk_reference(payload, records, &mut want)
+            .map(|()| want)
+            .map_err(|e| e.to_string());
+        assert_eq!(
+            got,
+            want,
+            "{} payload bytes, {records} records",
+            payload.len()
+        );
+    }
+
+    /// A chunk payload of raw `(gap << 1 | is_write, zigzag delta)`
+    /// varint pairs.
+    fn varint_pairs(pairs: &[(u64, u64)]) -> Vec<u8> {
+        let mut p = Vec::new();
+        for &(v, zz) in pairs {
+            write_varint(&mut p, v).unwrap();
+            write_varint(&mut p, zz).unwrap();
+        }
+        p
+    }
+
+    /// The payload [`TraceWriter::push`] encodes for `records`.
+    fn payload_of(records: &[MemRecord]) -> Vec<u8> {
+        let mut prev = 0u64;
+        let pairs: Vec<(u64, u64)> = records
+            .iter()
+            .map(|r| {
+                let zz = zigzag(r.addr.wrapping_sub(prev) as i64);
+                prev = r.addr;
+                ((u64::from(r.gap) << 1) | u64::from(r.is_write), zz)
+            })
+            .collect();
+        varint_pairs(&pairs)
+    }
+
+    /// Diff both decoders on a valid payload of `records` records, on the
+    /// record count off by one either way, cut short by 1–9 bytes, with
+    /// one byte appended and with single bytes flipped.
+    fn assert_same_records_under_corruption(mut payload: Vec<u8>, records: u32) {
+        assert_same_records(&payload, records);
+        assert_same_records(&payload, records + 1);
+        assert_same_records(&payload, records.saturating_sub(1));
+        for cut in 1..=9.min(payload.len()) {
+            assert_same_records(&payload[..payload.len() - cut], records);
+        }
+        for extra in [0x00, 0x01, 0x7f, 0x80, 0xff] {
+            payload.push(extra);
+            assert_same_records(&payload, records);
+            payload.pop();
+        }
+        // Every position of a small payload; ~64 spread over a large one.
+        let step = (payload.len() / 64).max(1);
+        for i in (0..payload.len()).step_by(step) {
+            for mask in [0x01, 0x80, 0xff] {
+                payload[i] ^= mask;
+                assert_same_records(&payload, records);
+                payload[i] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn decode_chunk_matches_the_reference_on_generator_payloads() {
+        for (bench, seed) in [("mcf", 1), ("twolf", 2), ("gzip", 3), ("art", 4)] {
+            let mut g = TraceGenerator::new(crate::benchmark(bench).unwrap(), seed);
+            let recs: Vec<MemRecord> = (0..CHUNK_RECORDS).map(|_| g.next_record()).collect();
+            assert_same_records_under_corruption(payload_of(&recs), recs.len() as u32);
+            for n in [1, 2, 3, 50] {
+                assert_same_records_under_corruption(payload_of(&recs[..n]), n as u32);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_chunk_matches_the_reference_on_random_payloads() {
+        // Gaps and deltas of every varint length, 1 to 10 bytes.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..8 {
+            let pairs: Vec<(u64, u64)> = (0..100)
+                .map(|_| {
+                    let (a, b, c) = (next(), next(), next());
+                    let gap = (a >> 32) >> (a % 33);
+                    let zz = b >> (c % 64);
+                    ((gap << 1) | (c >> 63), zz)
+                })
+                .collect();
+            assert_same_records_under_corruption(varint_pairs(&pairs), pairs.len() as u32);
+        }
+    }
+
+    #[test]
+    fn decode_chunk_matches_the_reference_on_hand_picked_payloads() {
+        /// The 7-bit-group varint bytes of `v`, `len` bytes long (padded
+        /// with continuation groups of zero, as a non-minimal writer would).
+        fn padded(v: u64, len: usize) -> Vec<u8> {
+            let mut p = Vec::new();
+            write_varint(&mut p, v).unwrap();
+            while p.len() < len {
+                *p.last_mut().unwrap() |= 0x80;
+                p.push(0);
+            }
+            p
+        }
+        let seven = padded(1 << 42, 7);
+        let eight = padded(1 << 49, 8);
+        let mut cases: Vec<(Vec<u8>, u32)> = vec![
+            // A varint that ends exactly at the payload end, with eight
+            // bytes left and with fewer.
+            ([&[0x06][..], &seven].concat(), 1),
+            ([&[0x06, 0x02, 0x04][..], &padded(300, 2)].concat(), 2),
+            // The delta ends on the last byte of the 8-byte window, and
+            // one byte past it.
+            ([&[0x06][..], &seven, &[0x02, 0x04]].concat(), 2),
+            ([&[0x06][..], &eight, &[0x02, 0x04]].concat(), 2),
+            ([&[0x06][..], &eight].concat(), 1),
+            // 2- and 3-byte gap varints.
+            (varint_pairs(&[(200, 3), (7, 1), (70_000, 9), (3, 5)]), 4),
+            (varint_pairs(&[(200, 1 << 40), (3, 5), (3, 5), (3, 5)]), 4),
+            // 8-, 9- and 10-byte deltas.
+            (
+                varint_pairs(&[(4, 1 << 49), (4, 1 << 56), (4, 1 << 63), (4, 1)]),
+                4,
+            ),
+            (
+                varint_pairs(&[(4, u64::MAX), (5, 0), (4, u64::MAX - 1), (4, 1)]),
+                4,
+            ),
+            // A 10-byte varint whose last group overflows 64 bits.
+            (
+                [&[0x04][..], &[0xff; 9], &[0x7f], &[0x02, 0x04]].concat(),
+                2,
+            ),
+            // An 11-byte varint, as the delta and as the gap.
+            (
+                [&[0x04][..], &[0x80; 10], &[0x01], &[0x02, 0x04]].concat(),
+                2,
+            ),
+            ([&[0x80; 10][..], &[0x01], &[0x02, 0x04]].concat(), 1),
+            // A gap that overflows u32, and the largest one that fits.
+            (varint_pairs(&[(2, 2), (1 << 33, 2), (2, 2), (2, 2)]), 4),
+            (
+                varint_pairs(&[(2, 2), ((1 << 33) - 1, 2), (2, 2), (2, 2)]),
+                4,
+            ),
+            // Padded, non-minimal varints.
+            (
+                [padded(6, 3), padded(8, 2), vec![2, 4, 2, 4, 2, 4]].concat(),
+                4,
+            ),
+            // Empty payloads and records.
+            (vec![], 0),
+            (vec![], 1),
+            (vec![0x02], 1),
+        ];
+        // Every record shape as the first and as a later record, in
+        // windows of every alignment.
+        let mixed = varint_pairs(&[(1, 1 << 20), (200, 1), (3, 1 << 48), (2, 0), (9, 300)]);
+        for lead in 0..9u32 {
+            let head = varint_pairs(&vec![(2, 2); lead as usize]);
+            cases.push(([head, mixed.clone()].concat(), lead + 5));
+        }
+        for (payload, records) in cases {
+            assert_same_records(&payload, records);
+            assert_same_records(&payload, records + 1);
+            assert_same_records(&payload, records.saturating_sub(1));
+            for cut in 1..=9.min(payload.len()) {
+                assert_same_records(&payload[..payload.len() - cut], records);
+            }
+        }
+    }
+
     #[test]
     fn capturing_source_is_transparent_and_records() {
         let m = meta(&["gzip"]);
