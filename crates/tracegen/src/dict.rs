@@ -23,9 +23,11 @@
 //! tests rely on this).
 //!
 //! Decompression is hardened for hostile input: the caller passes the
-//! raw length the chunk header claims, and decoding fails — without
-//! over-allocating — on unknown codes, truncated tables, dangling
-//! escapes, or any output-length mismatch.
+//! raw length the chunk header claims, and decoding fails on unknown
+//! codes, truncated tables, dangling escapes, or any output-length
+//! mismatch. It writes each code as one 8-byte store, so it allocates
+//! that claimed length plus [`MAX_SYMBOL_LEN`] bytes of slack, and never
+//! more.
 
 use std::collections::HashMap;
 
@@ -179,10 +181,16 @@ pub fn compress(input: &[u8], out: &mut Vec<u8>) {
 /// Decompress a [`compress`]-formatted `input` into `out` (cleared
 /// first). `raw_len` is the expected output length from the chunk
 /// header; output is capped at it throughout, so a corrupt or hostile
-/// stream can never allocate more than the caller already vetted.
+/// stream can never allocate more than the caller already vetted, plus
+/// [`MAX_SYMBOL_LEN`] bytes of slack that are truncated away at the end.
+///
+/// Each code is one 8-byte store, as in FSST's own decoder. The table
+/// is parsed into symbol words and lengths: the escape's word is zero
+/// and its length 1, and a code past the table has length 0. An
+/// escape's literal is masked into its word and the cursor steps over
+/// it, so escapes take no data-dependent branch.
 pub fn decompress(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), String> {
     out.clear();
-    out.reserve(raw_len);
     let (&n, mut rest) = input
         .split_first()
         .ok_or("compressed chunk is empty (no symbol table)")?;
@@ -192,49 +200,57 @@ pub fn decompress(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(),
             "symbol table claims {n} entries (max {MAX_SYMBOLS})"
         ));
     }
-    let mut table: Vec<&[u8]> = Vec::with_capacity(n);
-    for i in 0..n {
+    let mut words = [0u64; 256];
+    let mut lens = [0u8; 256];
+    lens[ESCAPE as usize] = 1;
+    for (i, (word, sym_len)) in words.iter_mut().zip(&mut lens).take(n).enumerate() {
         let (&len, after) = rest
             .split_first()
             .ok_or_else(|| format!("symbol table truncated at entry {i}"))?;
-        let len = len as usize;
-        if len == 0 || len > MAX_SYMBOL_LEN {
+        if len == 0 || len as usize > MAX_SYMBOL_LEN {
             return Err(format!("symbol {i} has invalid length {len}"));
         }
-        if after.len() < len {
-            return Err(format!("symbol table truncated inside entry {i}"));
-        }
-        // repolint: allow(panic) — len <= after.len() was just checked; both slices share that bound
-        table.push(&after[..len]);
-        // repolint: allow(panic) — same check as the line above
-        rest = &after[len..];
+        let (sym, after) = after
+            .split_at_checked(len as usize)
+            .ok_or_else(|| format!("symbol table truncated inside entry {i}"))?;
+        *word = sym.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b));
+        *sym_len = len;
+        rest = after;
     }
-    let mut codes = rest.iter();
-    while let Some(&code) = codes.next() {
-        let sym: &[u8] = if code == ESCAPE {
-            let lit = codes.next().ok_or("dangling escape at end of chunk")?;
-            std::slice::from_ref(lit)
-        } else if (code as usize) < table.len() {
-            // repolint: allow(panic) — the branch condition is exactly the bounds check
-            table[code as usize]
-        } else {
+    let codes = rest;
+    out.resize(raw_len + MAX_SYMBOL_LEN, 0);
+    let (mut at, mut end) = (0, 0);
+    while let Some(&code) = codes.get(at) {
+        let lit = codes.get(at + 1);
+        let is_escape = code == ESCAPE;
+        if is_escape & lit.is_none() {
+            return Err("dangling escape at end of chunk".into());
+        }
+        // repolint: allow(panic) — a u8 code cannot index past a 256-entry table
+        let (word, len) = (words[code as usize], lens[code as usize] as usize);
+        if len == 0 {
             return Err(format!(
                 "invalid symbol code {code} (table has {n} entries)"
             ));
-        };
-        if out.len() + sym.len() > raw_len {
+        }
+        if end + len > raw_len {
             return Err(format!(
                 "chunk decompresses past its declared {raw_len} bytes"
             ));
         }
-        out.extend_from_slice(sym);
+        let lit_mask = 0u64.wrapping_sub(u64::from(is_escape));
+        let word = word | (u64::from(lit.copied().unwrap_or(0)) & lit_mask);
+        // repolint: allow(panic) — end < raw_len was just checked, and out holds raw_len + MAX_SYMBOL_LEN bytes
+        out[end..end + MAX_SYMBOL_LEN].copy_from_slice(&word.to_le_bytes());
+        end += len;
+        at += 1 + usize::from(is_escape);
     }
-    if out.len() != raw_len {
+    if end != raw_len {
         return Err(format!(
-            "chunk decompressed to {} bytes, header claims {raw_len}",
-            out.len()
+            "chunk decompressed to {end} bytes, header claims {raw_len}"
         ));
     }
+    out.truncate(raw_len);
     Ok(())
 }
 

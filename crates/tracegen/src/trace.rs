@@ -630,20 +630,63 @@ fn decode_payload(
     decode_chunk(bytes, h.records, out)
 }
 
+/// The high bits of bytes 1–7 of a little-endian record word: a clear
+/// one ends the delta varint within the word.
+const DELTA_STOP_BITS: u64 = 0x8080_8080_8080_8000;
+
+/// Decode one record from a single 8-byte little-endian load: its
+/// `(gap << 1) | is_write` byte, its zigzagged delta and the bytes after
+/// it. `None` unless 8 bytes remain, the gap varint is byte 0 and the
+/// delta varint ends within bytes 1–7.
+#[inline]
+fn one_load(cur: &[u8]) -> Option<(u64, u64, &[u8])> {
+    let word = u64::from_le_bytes(*cur.first_chunk::<8>()?);
+    let stops = !word & DELTA_STOP_BITS;
+    if word & 0x80 != 0 || stops == 0 {
+        return None;
+    }
+    // Bytes 1 through the first stop, less their continuation bits, then
+    // their 7-bit groups packed pairwise: bytes, 14-bit halves, 28-bit
+    // halves.
+    let d = ((word & (stops ^ (stops - 1))) >> 8) & 0x007f_7f7f_7f7f_7f7f;
+    let d = (d & 0x007f_007f_007f_007f) | ((d & 0x7f00_7f00_7f00_7f00) >> 1);
+    let d = (d & 0x0000_3fff_0000_3fff) | ((d & 0x3fff_0000_3fff_0000) >> 2);
+    let d = (d & 0x0000_0000_0fff_ffff) | ((d & 0x0fff_ffff_0000_0000) >> 4);
+    let len = (stops.trailing_zeros() as usize + 1) / 8;
+    Some((word & 0x7f, d, cur.get(len..)?))
+}
+
 /// Decode `records` records out of a chunk `payload`, appending to `out`.
+///
+/// A record whose gap varint is one byte and whose delta varint ends
+/// within the next seven bytes (nearly all of them) comes from one load
+/// ([`one_load`]). Every other record takes the varint-at-a-time path,
+/// and every error comes from that path or from the trailing-bytes check.
 fn decode_chunk(payload: &[u8], records: u32, out: &mut Vec<MemRecord>) -> Result<(), TraceError> {
     let mut cur = payload;
     let mut prev_addr = 0u64;
     for _ in 0..records {
-        let v = read_varint(&mut cur).map_err(|_| TraceError::format("truncated record"))?;
-        let gap = u32::try_from(v >> 1).map_err(|_| TraceError::format("gap overflows u32"))?;
-        let delta =
-            unzigzag(read_varint(&mut cur).map_err(|_| TraceError::format("truncated record"))?);
-        let addr = prev_addr.wrapping_add(delta as u64);
+        let (gap, is_write, zz) = match one_load(cur) {
+            Some((v, zz, rest)) => {
+                cur = rest;
+                // A one-byte varint: the gap is below 64.
+                ((v >> 1) as u32, v & 1 == 1, zz)
+            }
+            None => {
+                let v =
+                    read_varint(&mut cur).map_err(|_| TraceError::format("truncated record"))?;
+                let gap =
+                    u32::try_from(v >> 1).map_err(|_| TraceError::format("gap overflows u32"))?;
+                let zz =
+                    read_varint(&mut cur).map_err(|_| TraceError::format("truncated record"))?;
+                (gap, v & 1 == 1, zz)
+            }
+        };
+        let addr = prev_addr.wrapping_add(unzigzag(zz) as u64);
         out.push(MemRecord {
             gap,
             addr,
-            is_write: v & 1 == 1,
+            is_write,
         });
         prev_addr = addr;
     }
