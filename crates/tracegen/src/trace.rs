@@ -909,13 +909,19 @@ pub fn validate_path(path: impl AsRef<Path>) -> Result<TraceInfo, TraceError> {
         }
         *seen_t += u64::from(h.records);
     }
+    check_counts(&seen, &info)?;
+    Ok(info)
+}
+
+/// The chunks' per-thread record sums `seen` against the header's counts.
+fn check_counts(seen: &[u64], info: &TraceInfo) -> Result<(), TraceError> {
     if seen != info.records {
         return Err(TraceError::format(format!(
             "per-thread record counts {seen:?} disagree with the header {:?}",
             info.records
         )));
     }
-    Ok(info)
+    Ok(())
 }
 
 /// Aggregate codec statistics of a container's chunks, as tallied by
@@ -945,9 +951,17 @@ impl TraceStats {
 
 /// Walk a container's chunk headers (seeking over the payloads) and
 /// tally per-codec counts and sizes alongside the header info.
+///
+/// Decodes no payload, but fails with [`validate_path`]'s errors when a
+/// payload runs past the end of the file or the chunks' per-thread
+/// record counts disagree with the header.
 pub fn scan_stats(path: impl AsRef<Path>) -> Result<(TraceInfo, TraceStats), TraceError> {
-    let mut r = BufReader::new(File::open(path.as_ref())?);
+    let file = File::open(path.as_ref())?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let info = read_info(&mut r)?;
+    // repolint: allow(cap-alloc) — read_info already rejected threads > MAX_TRACE_THREADS
+    let mut seen = vec![0u64; info.meta.threads()];
     let mut stats = TraceStats::default();
     while let Some(h) = read_chunk_header(&mut r, info.version, info.meta.threads())? {
         stats.chunks += 1;
@@ -956,8 +970,16 @@ pub fn scan_stats(path: impl AsRef<Path>) -> Result<(TraceInfo, TraceStats), Tra
         }
         stats.payload_bytes += u64::from(h.payload_len);
         stats.raw_bytes += u64::from(h.raw_len);
+        // repolint: allow(panic) — read_chunk_header rejects h.thread >= threads
+        seen[h.thread] += u64::from(h.records);
         r.seek_relative(i64::from(h.payload_len))?;
     }
+    // A seek past the end succeeds, and the next header read then finds
+    // a clean end of stream: only the position shows the cut payload.
+    if r.stream_position()? > file_len {
+        return Err(TraceError::format("truncated chunk payload"));
+    }
+    check_counts(&seen, &info)?;
     Ok((info, stats))
 }
 
@@ -1529,6 +1551,32 @@ mod tests {
         assert!(s2.dict_chunks > 0, "generator streams must compress");
         assert_eq!(s2.raw_bytes, s1.raw_bytes, "raw payloads are identical");
         assert!(s2.ratio() > 1.0, "ratio {}", s2.ratio());
+    }
+
+    #[test]
+    fn scan_stats_fails_where_validate_path_does_without_decoding() {
+        let bytes = write_two_threads_with(&sample(1, 6000), &sample(2, 6000), Compression::Dict);
+        let path = std::env::temp_dir().join("plru_trace_stats_bad.pltc");
+        let errors = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            let stats = scan_stats(&path).unwrap_err().to_string();
+            (stats, validate_path(&path).unwrap_err().to_string())
+        };
+        // Cut inside the last payload, and one byte short of the end.
+        for cut in [20, 1] {
+            let (stats, validate) = errors(&bytes[..bytes.len() - cut]);
+            assert_eq!(stats, "truncated chunk payload");
+            assert_eq!(stats, validate);
+        }
+        // Thread 0's header count one above its chunks' sum.
+        let mut cur = Cursor::new(&bytes);
+        read_info(&mut cur).unwrap();
+        let mut lying = bytes.clone();
+        lying[cur.position() as usize - 16] += 1;
+        let (stats, validate) = errors(&lying);
+        let _ = std::fs::remove_file(&path);
+        assert!(stats.contains("disagree with the header"), "{stats}");
+        assert_eq!(stats, validate);
     }
 
     #[test]

@@ -248,12 +248,14 @@ fn truncated_trace_is_a_readable_nonzero_exit() {
     let whole = std::fs::read("scenarios/traces/smoke_2T_06.pltc").unwrap();
     let path = tmp("plru_cli_truncated.pltc");
     std::fs::write(&path, &whole[..whole.len() / 2]).unwrap();
-    let out = run(trace_bin().args(["replay", path.to_str().unwrap()]));
+    for sub in ["replay", "info"] {
+        let out = run(trace_bin().args([sub, path.to_str().unwrap()]));
+        assert_eq!(out.status.code(), Some(1), "{sub} must exit 1");
+        let err = stderr(&out);
+        assert!(err.starts_with("trace: "), "{sub}: {err}");
+        assert!(!err.contains("panicked"), "{sub} must not panic: {err}");
+    }
     let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(1));
-    let err = stderr(&out);
-    assert!(err.starts_with("trace: "), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
 }
 
 /// A one-thread, generator-streamed `gzip` container whose third record
