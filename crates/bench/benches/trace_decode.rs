@@ -10,7 +10,10 @@
 //! `trace_decode/v2-w4`) record mean ns per full drain of a fixed
 //! ~62k-record two-thread trace, including opening the sources (and
 //! spawning the pool); each run prints the record total so logs can
-//! convert the mean into records/sec directly.
+//! convert the mean into records/sec directly. `trace_decode/validate`
+//! is one `validate_path` over the v2 container: the pre-flight every
+//! replay of a recorded trace runs first, which decodes every chunk on
+//! one thread.
 //!
 //! Note the drain does no work between records, so the worker>0 ids
 //! measure the pool's hand-off cost at maximum pull rate — its worst
@@ -79,6 +82,9 @@ fn bench_trace_decode(c: &mut Criterion) {
             b.iter(|| drain(&v2, &DecodeOptions::workers(workers), total))
         });
     }
+    group.bench_function("validate", |b| {
+        b.iter(|| black_box(trace::validate_path(&v2).unwrap()))
+    });
     group.finish();
 
     let _ = std::fs::remove_file(&v1);
