@@ -450,7 +450,8 @@ mod tests {
         }
     }
 
-    /// A deterministic xorshift byte stream.
+    /// A deterministic xorshift byte stream over `alphabet` values (0: all
+    /// 256).
     fn random_bytes(seed: u64, len: usize, alphabet: u8) -> Vec<u8> {
         let mut x = seed | 1;
         (0..len)
