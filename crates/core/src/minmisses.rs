@@ -383,6 +383,65 @@ mod tests {
         assert_eq!(fair, vec![4, 4]);
     }
 
+    /// `count` seeded random curve sets: 2–16 ways, 1 to `assoc` threads,
+    /// each curve flat, a copy of the previous thread's, a shallow
+    /// staircase or noise over a few values — shapes on which many
+    /// allocations tie and the tie-breaks decide.
+    fn tied_curve_sets(count: usize) -> Vec<(usize, Vec<Vec<u64>>)> {
+        // xorshift64*: a fixed stream, independent of any crate.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |bound: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+        };
+        (0..count)
+            .map(|_| {
+                let assoc = 2 + below(15) as usize;
+                let n = 1 + below(assoc as u64) as usize;
+                let mut curves: Vec<Vec<u64>> = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let curve = match (below(4), curves.last()) {
+                        (0, _) | (1, None) => vec![below(4); assoc + 1],
+                        (1, Some(prev)) => prev.clone(),
+                        (2, _) => {
+                            let mut misses = 20 + below(40);
+                            (0..=assoc)
+                                .map(|_| {
+                                    misses = misses.saturating_sub(below(3));
+                                    misses
+                                })
+                                .collect()
+                        }
+                        _ => (0..=assoc).map(|_| below(6)).collect(),
+                    };
+                    curves.push(curve);
+                }
+                (assoc, curves)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selector_allocations_are_pinned() {
+        // FNV-1a over every allocation both exact selectors return. The
+        // invariant tests check optimality; this pins which optimum each
+        // tie-break picks.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (assoc, curves) in tied_curve_sets(5000) {
+            for alloc in [
+                min_misses_dp(&curves, assoc),
+                fairness_minimax(&curves, assoc),
+            ] {
+                for ways in alloc {
+                    hash = (hash ^ ways as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0xcfad_4a13_ebe3_a673, "selector allocations drifted");
+    }
+
     #[test]
     fn greedy_equals_dp_on_convex_curves() {
         // For convex curves greedy is optimal; the two must agree in cost.
