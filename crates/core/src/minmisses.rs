@@ -20,6 +20,34 @@
 ///
 /// Panics if there are more threads than ways or malformed curves.
 pub fn min_misses_dp(curves: &[Vec<u64>], assoc: usize) -> Vec<usize> {
+    // Tie-break toward the equal split: with flat or sparse curves (cold
+    // SDHs, streaming threads) many allocations predict identical misses,
+    // and collapsing a thread to one way on a tie is gratuitously unfair.
+    let fair = assoc as f64 / curves.len() as f64;
+    let off_fair = |take: usize| (take as f64 - fair).abs();
+    solve(
+        curves,
+        assoc,
+        |misses: u64, curve, take| misses + curve[take],
+        |(misses, take), (best, best_take)| {
+            misses < best || (misses == best && off_fair(take) < off_fair(best_take))
+        },
+    )
+}
+
+/// The dynamic program both exact selectors share. `best[t][w]` holds
+/// the best value of threads `0..t` on exactly `w` ways, each taking at
+/// least one, with the ways thread `t - 1` took for it; `None` where no
+/// allocation reaches the cell. `add(value, curve, take)` extends a value
+/// by the next thread taking `take` ways of its `curve`, and
+/// `better(candidate, cell)` decides whether a `(value, take)` candidate
+/// replaces a cell's.
+fn solve<V: Copy + Default>(
+    curves: &[Vec<u64>],
+    assoc: usize,
+    add: impl Fn(V, &[u64], usize) -> V,
+    better: impl Fn((V, usize), (V, usize)) -> bool,
+) -> Vec<usize> {
     let n = curves.len();
     assert!(n >= 1, "need at least one thread");
     assert!(n <= assoc, "cannot give every thread a way");
@@ -27,51 +55,33 @@ pub fn min_misses_dp(curves: &[Vec<u64>], assoc: usize) -> Vec<usize> {
         curves.iter().all(|c| c.len() == assoc + 1),
         "each curve must have assoc+1 entries"
     );
-
-    const INF: u64 = u64::MAX / 2;
-    // dp[t][w] = minimal total misses of threads 0..t using exactly w ways.
-    let mut dp = vec![vec![INF; assoc + 1]; n + 1];
-    let mut choice = vec![vec![0usize; assoc + 1]; n + 1];
-    dp[0][0] = 0;
-    // Tie-break toward the equal split: with flat or sparse curves (cold
-    // SDHs, streaming threads) many allocations predict identical misses,
-    // and collapsing a thread to one way on a tie is gratuitously unfair.
-    let fair = assoc as f64 / n as f64;
-    for t in 0..n {
+    let mut best: Vec<Vec<Option<(V, usize)>>> = vec![vec![None; assoc + 1]; n + 1];
+    best[0][0] = Some((V::default(), 0));
+    for (t, curve) in curves.iter().enumerate() {
         // Later threads each still need >= 1 way.
         let remaining = n - 1 - t;
         for used in t..=assoc {
-            if dp[t][used] >= INF {
+            let Some((value, _)) = best[t][used] else {
                 continue;
-            }
-            let max_take = assoc - used - remaining;
-            // `take` is the DP decision variable (ways handed to thread
-            // t), not a plain index — keep the recurrence literal.
-            #[allow(clippy::needless_range_loop)]
-            for take in 1..=max_take {
-                let cost = dp[t][used] + curves[t][take];
-                let slot = used + take;
-                let better = cost < dp[t + 1][slot]
-                    || (cost == dp[t + 1][slot]
-                        && (take as f64 - fair).abs() < (choice[t + 1][slot] as f64 - fair).abs());
-                if better {
-                    dp[t + 1][slot] = cost;
-                    choice[t + 1][slot] = take;
+            };
+            for take in 1..=assoc - used - remaining {
+                let candidate = (add(value, curve, take), take);
+                let cell = &mut best[t + 1][used + take];
+                if cell.is_none_or(|held| better(candidate, held)) {
+                    *cell = Some(candidate);
                 }
             }
         }
     }
-    // Reconstruct from the full allocation (MinMisses always hands out the
+    // Reconstruct from the full allocation (both selectors hand out the
     // whole cache: unused ways would be free hits).
     let mut alloc = vec![0usize; n];
     let mut used = assoc;
     for t in (1..=n).rev() {
-        let take = choice[t][used];
-        debug_assert!(take >= 1);
+        let (_, take) = best[t][used].expect("every full allocation is reachable");
         alloc[t - 1] = take;
         used -= take;
     }
-    debug_assert_eq!(used, 0);
     alloc
 }
 
@@ -121,51 +131,16 @@ pub fn predicted_misses(curves: &[Vec<u64>], alloc: &[usize]) -> u64 {
 /// Exact dynamic program, `O(N * A^2)`, same input conventions as
 /// [`min_misses_dp`].
 pub fn fairness_minimax(curves: &[Vec<u64>], assoc: usize) -> Vec<usize> {
-    let n = curves.len();
-    assert!(n >= 1 && n <= assoc);
-    assert!(curves.iter().all(|c| c.len() == assoc + 1));
-
-    // Normalised penalty of thread t at w ways.
-    let penalty = |t: usize, w: usize| -> f64 {
-        (curves[t][w] as f64 + 1.0) / (curves[t][assoc] as f64 + 1.0)
-    };
-
-    const INF: f64 = f64::INFINITY;
-    // dp[t][w] = (minimax penalty, total misses) for threads 0..t over
-    // exactly w ways.
-    let mut dp = vec![vec![(INF, u64::MAX); assoc + 1]; n + 1];
-    let mut choice = vec![vec![0usize; assoc + 1]; n + 1];
-    dp[0][0] = (0.0, 0);
-    for t in 0..n {
-        let remaining = n - 1 - t;
-        for used in t..=assoc {
-            let (cur_max, cur_tot) = dp[t][used];
-            if cur_max.is_infinite() {
-                continue;
-            }
-            let max_take = assoc - used - remaining;
-            // Same DP decision variable as in `min_misses_dp`.
-            #[allow(clippy::needless_range_loop)]
-            for take in 1..=max_take {
-                let cand = (cur_max.max(penalty(t, take)), cur_tot + curves[t][take]);
-                let slot = used + take;
-                if cand < dp[t + 1][slot] {
-                    dp[t + 1][slot] = cand;
-                    choice[t + 1][slot] = take;
-                }
-            }
-        }
-    }
-    let mut alloc = vec![0usize; n];
-    let mut used = assoc;
-    for t in (1..=n).rev() {
-        let take = choice[t][used];
-        debug_assert!(take >= 1);
-        alloc[t - 1] = take;
-        used -= take;
-    }
-    debug_assert_eq!(used, 0);
-    alloc
+    solve(
+        curves,
+        assoc,
+        |(worst, misses): (f64, u64), curve, take| {
+            // The thread's miss count normalised to owning the whole cache.
+            let increase = (curve[take] as f64 + 1.0) / (curve[assoc] as f64 + 1.0);
+            (worst.max(increase), misses + curve[take])
+        },
+        |(value, _), (best, _)| value < best,
+    )
 }
 
 /// Maximum relative miss increase of an allocation (the quantity
