@@ -1,4 +1,6 @@
-//! Tiny aligned-text table renderer for the experiment binaries.
+//! Tiny aligned-text table builder for the experiment binaries.
+
+use plru_repro::scenario::render_aligned;
 
 /// A column-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -23,39 +25,11 @@ impl TextTable {
         self
     }
 
-    /// Render with every column padded to its widest cell.
+    /// Render with every column padded to its widest cell (see
+    /// [`render_aligned`]).
     pub fn render(&self) -> String {
-        let ncols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let fmt_row = |cells: &[String]| -> String {
-            let mut line = String::new();
-            for i in 0..ncols {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                // Right-align numbers-ish columns, left-align the first.
-                if i == 0 {
-                    line.push_str(&format!("{:<width$}", cells[i], width = widths[i]));
-                } else {
-                    line.push_str(&format!("{:>width$}", cells[i], width = widths[i]));
-                }
-            }
-            line
-        };
-        let mut out = fmt_row(&self.header);
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (ncols - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row));
-            out.push('\n');
-        }
-        out
+        let header: Vec<&str> = self.header.iter().map(String::as_str).collect();
+        render_aligned(&header, &self.rows)
     }
 }
 

@@ -41,6 +41,6 @@ pub mod spec;
 
 pub use expand::{ScenarioCase, ScenarioError};
 pub use pool::{CaseOutcome, CaseTask, WorkerPool};
-pub use report::{CaseReport, MissCurve, MissCurveReport, SweepReport};
+pub use report::{render_aligned, CaseReport, MissCurve, MissCurveReport, SweepReport};
 pub use runner::{run_miss_curves, SweepRunner};
 pub use spec::{MissCurveSpec, ScenarioSpec, SchemeAxis, WorkloadSel};

@@ -165,8 +165,10 @@ fn format_size(bytes: u64) -> String {
     }
 }
 
-/// Column-aligned rendering: first column left-aligned, the rest right.
-fn render_aligned(header: &[&str], rows: &[Vec<String>]) -> String {
+/// Render a text table: the header, a rule of dashes, then one line per
+/// row, every column padded to its widest cell and separated by two
+/// spaces; the first column is left-aligned, the rest right-aligned.
+pub fn render_aligned(header: &[&str], rows: &[Vec<String>]) -> String {
     let ncols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
