@@ -42,11 +42,12 @@
 //! ## Reading and replaying
 //!
 //! [`read_info`] / [`load_info`] decode only the header; [`validate_path`]
-//! streams the whole file, cross-checks every chunk against the header
-//! counts and rejects any gap above [`MAX_GAP`] (the cheap pre-flight the
-//! `trace`/`sweep` binaries run so a corrupt file is a readable error, not
-//! a mid-simulation panic); [`scan_stats`] additionally tallies per-codec
-//! chunk counts and the compression ratio for `trace info`.
+//! streams the whole file, decodes and cross-checks every chunk against
+//! the header counts and rejects any gap above [`MAX_GAP`] (the cheap
+//! pre-flight the `trace`/`sweep` binaries run so a corrupt file is a
+//! readable error, not a mid-simulation panic); [`scan_stats`] is the same
+//! walk, which also tallies per-codec chunk counts and the compression
+//! ratio for `trace info`.
 //!
 //! [`TraceReader`] is the one reader of a thread's records: it walks the
 //! chunks in file order, seeks over other threads' payloads and stops at
@@ -877,51 +878,9 @@ impl<R: Read + Seek> TraceReader<R> {
 /// expansion) run so a malformed file surfaces as a readable error before
 /// any simulation starts. The codec itself round-trips any `u32` gap; only
 /// a trace meant for simulation has to stay within the generator's cap.
+/// It is [`scan_stats`] without the tallies.
 pub fn validate_path(path: impl AsRef<Path>) -> Result<TraceInfo, TraceError> {
-    let path = path.as_ref();
-    let mut r = BufReader::new(File::open(path)?);
-    let info = read_info(&mut r)?;
-    if let Some(t) = info.records.iter().position(|&c| c == 0) {
-        return Err(TraceError::format(format!(
-            "thread {t} has no records (an empty per-thread stream cannot replay)"
-        )));
-    }
-    // repolint: allow(cap-alloc) — read_info already rejected threads > MAX_TRACE_THREADS
-    let mut seen = vec![0u64; info.meta.threads()];
-    let mut scratch = Vec::new();
-    let mut raw = Vec::new();
-    let mut decoded = Vec::new();
-    while let Some(h) = read_chunk_header(&mut r, info.version, info.meta.threads())? {
-        scratch.resize(h.payload_len as usize, 0);
-        r.read_exact(&mut scratch)
-            .map_err(|_| TraceError::format("truncated chunk payload"))?;
-        decoded.clear();
-        decode_payload(&h, &scratch, &mut raw, &mut decoded)?;
-        // repolint: allow(panic) — read_chunk_header rejects h.thread >= threads
-        let seen_t = &mut seen[h.thread];
-        if let Some((i, r)) = decoded.iter().enumerate().find(|(_, r)| r.gap > MAX_GAP) {
-            return Err(TraceError::format(format!(
-                "thread {} record {} has a gap of {} instructions, above the cap of {MAX_GAP}",
-                h.thread,
-                *seen_t + i as u64,
-                r.gap
-            )));
-        }
-        *seen_t += u64::from(h.records);
-    }
-    check_counts(&seen, &info)?;
-    Ok(info)
-}
-
-/// The chunks' per-thread record sums `seen` against the header's counts.
-fn check_counts(seen: &[u64], info: &TraceInfo) -> Result<(), TraceError> {
-    if seen != info.records {
-        return Err(TraceError::format(format!(
-            "per-thread record counts {seen:?} disagree with the header {:?}",
-            info.records
-        )));
-    }
-    Ok(())
+    scan_stats(path).map(|(info, _)| info)
 }
 
 /// Aggregate codec statistics of a container's chunks, as tallied by
@@ -949,37 +908,52 @@ impl TraceStats {
     }
 }
 
-/// Walk a container's chunk headers (seeking over the payloads) and
-/// tally per-codec counts and sizes alongside the header info.
-///
-/// Decodes no payload, but fails with [`validate_path`]'s errors when a
-/// payload runs past the end of the file or the chunks' per-thread
-/// record counts disagree with the header.
+/// [`validate_path`]'s one walk over the container, which also tallies
+/// per-codec chunk counts and sizes alongside the header info: every
+/// chunk is decoded and checked, so `trace info` rejects exactly what a
+/// replay's pre-flight rejects.
 pub fn scan_stats(path: impl AsRef<Path>) -> Result<(TraceInfo, TraceStats), TraceError> {
-    let file = File::open(path.as_ref())?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
+    let mut r = BufReader::new(File::open(path.as_ref())?);
     let info = read_info(&mut r)?;
+    if let Some(t) = info.records.iter().position(|&c| c == 0) {
+        return Err(TraceError::format(format!(
+            "thread {t} has no records (an empty per-thread stream cannot replay)"
+        )));
+    }
     // repolint: allow(cap-alloc) — read_info already rejected threads > MAX_TRACE_THREADS
     let mut seen = vec![0u64; info.meta.threads()];
     let mut stats = TraceStats::default();
+    let mut scratch = Vec::new();
+    let mut raw = Vec::new();
+    let mut decoded = Vec::new();
     while let Some(h) = read_chunk_header(&mut r, info.version, info.meta.threads())? {
-        stats.chunks += 1;
-        if h.codec == CODEC_DICT {
-            stats.dict_chunks += 1;
+        scratch.resize(h.payload_len as usize, 0);
+        r.read_exact(&mut scratch)
+            .map_err(|_| TraceError::format("truncated chunk payload"))?;
+        decoded.clear();
+        decode_payload(&h, &scratch, &mut raw, &mut decoded)?;
+        // repolint: allow(panic) — read_chunk_header rejects h.thread >= threads
+        let seen_t = &mut seen[h.thread];
+        if let Some((i, r)) = decoded.iter().enumerate().find(|(_, r)| r.gap > MAX_GAP) {
+            return Err(TraceError::format(format!(
+                "thread {} record {} has a gap of {} instructions, above the cap of {MAX_GAP}",
+                h.thread,
+                *seen_t + i as u64,
+                r.gap
+            )));
         }
+        *seen_t += u64::from(h.records);
+        stats.chunks += 1;
+        stats.dict_chunks += u64::from(h.codec == CODEC_DICT);
         stats.payload_bytes += u64::from(h.payload_len);
         stats.raw_bytes += u64::from(h.raw_len);
-        // repolint: allow(panic) — read_chunk_header rejects h.thread >= threads
-        seen[h.thread] += u64::from(h.records);
-        r.seek_relative(i64::from(h.payload_len))?;
     }
-    // A seek past the end succeeds, and the next header read then finds
-    // a clean end of stream: only the position shows the cut payload.
-    if r.stream_position()? > file_len {
-        return Err(TraceError::format("truncated chunk payload"));
+    if seen != info.records {
+        return Err(TraceError::format(format!(
+            "per-thread record counts {seen:?} disagree with the header {:?}",
+            info.records
+        )));
     }
-    check_counts(&seen, &info)?;
     Ok((info, stats))
 }
 
@@ -1554,7 +1528,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_stats_fails_where_validate_path_does_without_decoding() {
+    fn scan_stats_fails_where_validate_path_does() {
         let bytes = write_two_threads_with(&sample(1, 6000), &sample(2, 6000), Compression::Dict);
         let path = std::env::temp_dir().join("plru_trace_stats_bad.pltc");
         let errors = |bytes: &[u8]| {

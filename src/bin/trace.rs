@@ -49,9 +49,9 @@ fn usage() -> ! {
          \u{20}   simulation; the result is identical at any count.\n\
          \n\
          trace info FILE [--json]\n\
-         \u{20}   print the container header (format version, workload\n\
-         \u{20}   metadata, per-thread record counts, chunk codec and\n\
-         \u{20}   compression ratio)."
+         \u{20}   validate FILE as replay does and print the container\n\
+         \u{20}   header (format version, workload metadata, per-thread\n\
+         \u{20}   record counts, chunk codec and compression ratio)."
     );
     exit(2);
 }

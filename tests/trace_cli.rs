@@ -258,6 +258,36 @@ fn truncated_trace_is_a_readable_nonzero_exit() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn a_corrupt_payload_fails_replay_and_info_alike() {
+    // One flipped byte inside the first dict-coded payload of the shipped
+    // v2 container: the framing still parses, only decoding can tell.
+    let mut bytes = std::fs::read("scenarios/traces/smoke_2T_06_v2.pltc").unwrap();
+    let mut cur = std::io::Cursor::new(&bytes);
+    plru_repro::tracegen::trace::read_info(&mut cur).unwrap();
+    let mut at = cur.position() as usize;
+    // v2 chunk header: thread u32 | records u32 | codec u8 | raw_len u32
+    // | payload_len u32.
+    while bytes[at + 8] != plru_repro::tracegen::trace::CODEC_DICT {
+        at += 17 + u32::from_le_bytes(bytes[at + 13..at + 17].try_into().unwrap()) as usize;
+    }
+    bytes[at + 17] ^= 0xff;
+    let path = tmp("plru_cli_corrupt_payload.pltc");
+    std::fs::write(&path, &bytes).unwrap();
+    let errs = ["replay", "info"].map(|sub| {
+        let out = run(trace_bin().args([sub, path.to_str().unwrap()]));
+        assert_eq!(out.status.code(), Some(1), "{sub} must exit 1");
+        stderr(&out)
+    });
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        errs[0].starts_with("trace: ") && errs[0].lines().count() == 1,
+        "{}",
+        errs[0]
+    );
+    assert_eq!(errs[0], errs[1], "replay and info must agree");
+}
+
 /// A one-thread, generator-streamed `gzip` container whose third record
 /// carries `gap` instructions.
 fn trace_with_gap(name: &str, gap: u32) -> PathBuf {
