@@ -68,35 +68,15 @@ impl ServerConfig {
     }
 }
 
-/// Terminal and non-terminal job states.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JobPhase {
-    Running,
-    Done,
-    Cancelled,
-    Failed(String),
-}
-
-impl JobPhase {
-    fn as_str(&self) -> &'static str {
-        match self {
-            JobPhase::Running => "running",
-            JobPhase::Done => "done",
-            JobPhase::Cancelled => "cancelled",
-            JobPhase::Failed(_) => "failed",
-        }
-    }
-}
-
 struct JobInner {
-    phase: JobPhase,
     /// Spec-order result slots; `completed` of them are filled.
     slots: Vec<Option<CaseReport>>,
     completed: usize,
-    /// Streams subscribed by watching submitters.
-    watchers: Vec<Sender<Response>>,
-    /// Built once at completion, shared with every requester.
-    report: Option<Arc<SweepReport>>,
+    /// The submitting connection's event stream, when it watches.
+    watcher: Option<Sender<Response>>,
+    /// The job's last frame — `done`, or its cancelled or failed error —
+    /// once it has one; every `results` request answers with a copy.
+    terminal: Option<Response>,
     /// Memo deltas attributed to this job (see [`JobSummary`] caveats).
     memo_hits: u64,
     memo_misses: u64,
@@ -266,7 +246,7 @@ fn accept_loop(listener: UnixListener, shared: Arc<ServerShared>) {
     }
     // Wind-down: stop the pool (in-flight cases finish and checkpoint,
     // queued ones are acknowledged as skipped), let every collector
-    // finalize its job, then clear the socket file.
+    // finish its job, then clear the socket file.
     shared.pool.stop();
     for h in shared.collectors.lock().unwrap().drain(..) {
         let _ = h.join();
@@ -394,7 +374,7 @@ fn handle_submit(
     let job = new_job(shared, id, &spec, total, vec![None; total], 0);
     let watcher = watch.then(|| {
         let (tx, rx) = std::sync::mpsc::channel();
-        job.inner.lock().unwrap().watchers.push(tx);
+        job.inner.lock().unwrap().watcher = Some(tx);
         rx
     });
     respond(
@@ -439,8 +419,8 @@ fn resume_job(shared: &Arc<ServerShared>, journal_path: &Path) -> Result<(), Ser
     let spec = state.spec;
     let job = new_job(shared, id, &spec, total, slots, done);
     if missing.is_empty() {
-        // Nothing left to run: the journal was complete, finalize now.
-        finalize(&job, &shared.pool, spec);
+        // Nothing left to run: the journal was complete, finish now.
+        finish(&job, &shared.pool, last_frame(&job, spec));
         return Ok(());
     }
     let journal = Journal::append_to(journal_path).map_err(ServerError::Resume)?;
@@ -463,11 +443,10 @@ fn new_job(
         cancelled: Arc::new(AtomicBool::new(false)),
         memo_start: shared.pool.isolation_cache().stats(),
         inner: Mutex::new(JobInner {
-            phase: JobPhase::Running,
             slots,
             completed,
-            watchers: Vec::new(),
-            report: None,
+            watcher: None,
+            terminal: None,
             memo_hits: 0,
             memo_misses: 0,
         }),
@@ -559,7 +538,7 @@ fn collect(
                     completed: inner.completed,
                     total: job.total,
                 };
-                inner.watchers.retain(|w| w.send(event.clone()).is_ok());
+                inner.watcher = inner.watcher.take().filter(|w| w.send(event).is_ok());
                 drop(inner);
                 job.changed.notify_all();
             }
@@ -569,58 +548,48 @@ fn collect(
             }
         }
     }
-    if let Some(msg) = failure {
-        let mut inner = job.inner.lock().unwrap();
-        inner.phase = JobPhase::Failed(msg.clone());
-        let event = Response::Error {
+    let frame = match failure {
+        Some(msg) => Response::Error {
             code: ErrorCode::Internal,
             message: format!("job {} failed: {msg}", job.id),
-        };
-        for w in inner.watchers.drain(..) {
-            let _ = w.send(event.clone());
-        }
-        drop(inner);
-        job.changed.notify_all();
-        return;
-    }
-    finalize(&job, &shared.pool, spec);
+        },
+        None => last_frame(&job, spec),
+    };
+    finish(&job, &shared.pool, frame);
 }
 
-/// Move a job to its terminal state: `Done` with a spec-order report if
-/// every slot filled, `Cancelled` otherwise.
-fn finalize(job: &Arc<JobShared>, pool: &WorkerPool, spec: ScenarioSpec) {
-    let memo_end = pool.isolation_cache().stats();
+/// The frame a job whose every outcome is in ends on: `done` with the
+/// spec-order report if every slot filled, the cancelled error otherwise.
+fn last_frame(job: &JobShared, spec: ScenarioSpec) -> Response {
     let mut inner = job.inner.lock().unwrap();
-    inner.memo_hits = memo_end.hits.saturating_sub(job.memo_start.hits);
-    inner.memo_misses = memo_end.misses.saturating_sub(job.memo_start.misses);
-    let complete = inner.slots.iter().all(Option::is_some);
-    if complete {
-        let cases: Vec<CaseReport> = inner.slots.iter_mut().map(|s| s.take().unwrap()).collect();
-        let report = Arc::new(SweepReport { spec, cases });
-        inner.report = Some(report.clone());
-        inner.phase = JobPhase::Done;
-        let event = Response::Done {
+    if inner.slots.iter().all(Option::is_some) {
+        let cases = inner.slots.iter_mut().map(|s| s.take().unwrap()).collect();
+        Response::Done {
             job: job.id,
-            report: Box::new((*report).clone()),
-        };
-        // At most one watcher today; taking just the first avoids cloning
-        // the report per receiver.
-        if let Some(w) = inner.watchers.drain(..).next() {
-            let _ = w.send(event);
+            report: Box::new(SweepReport { spec, cases }),
         }
     } else {
-        inner.phase = JobPhase::Cancelled;
-        let event = Response::Error {
+        Response::Error {
             code: ErrorCode::JobCancelled,
             message: format!(
                 "job {} cancelled after {} of {} cases",
                 job.id, inner.completed, job.total
             ),
-        };
-        for w in inner.watchers.drain(..) {
-            let _ = w.send(event.clone());
         }
     }
+}
+
+/// End a job on `frame`: freeze its memo deltas, send the frame to the
+/// watcher, keep it for `results` and wake every waiter.
+fn finish(job: &JobShared, pool: &WorkerPool, frame: Response) {
+    let memo_end = pool.isolation_cache().stats();
+    let mut inner = job.inner.lock().unwrap();
+    inner.memo_hits = memo_end.hits.saturating_sub(job.memo_start.hits);
+    inner.memo_misses = memo_end.misses.saturating_sub(job.memo_start.misses);
+    if let Some(w) = inner.watcher.take() {
+        let _ = w.send(frame.clone());
+    }
+    inner.terminal = Some(frame);
     drop(inner);
     job.changed.notify_all();
 }
@@ -653,8 +622,8 @@ fn status_response(shared: &ServerShared, filter: Option<u64>) -> Result<DaemonS
         .filter(|j| filter.is_none_or(|id| j.id == id))
         .map(|j| {
             let inner = j.inner.lock().unwrap();
-            let (memo_hits, memo_misses) = if inner.phase == JobPhase::Running {
-                // Live delta; exact once the job finalizes.
+            let (memo_hits, memo_misses) = if inner.terminal.is_none() {
+                // Live delta; exact once the job finishes.
                 (
                     now.hits.saturating_sub(j.memo_start.hits),
                     now.misses.saturating_sub(j.memo_start.misses),
@@ -665,7 +634,7 @@ fn status_response(shared: &ServerShared, filter: Option<u64>) -> Result<DaemonS
             JobSummary {
                 job: j.id,
                 name: j.name.clone(),
-                state: inner.phase.as_str().to_string(),
+                state: state_name(inner.terminal.as_ref()).to_string(),
                 completed: inner.completed,
                 total: j.total,
                 memo_hits,
@@ -681,12 +650,28 @@ fn status_response(shared: &ServerShared, filter: Option<u64>) -> Result<DaemonS
     })
 }
 
+/// A job's `state` in a status line, named by its terminal frame.
+fn state_name(terminal: Option<&Response>) -> &'static str {
+    match terminal {
+        None => "running",
+        Some(Response::Done { .. }) => "done",
+        Some(Response::Error {
+            code: ErrorCode::JobCancelled,
+            ..
+        }) => "cancelled",
+        Some(_) => "failed",
+    }
+}
+
 fn results_response(shared: &ServerShared, id: u64, wait: bool) -> Response {
     let Some(job) = find_job(shared, id) else {
         return unknown_job(id);
     };
     let mut inner = job.inner.lock().unwrap();
-    while inner.phase == JobPhase::Running {
+    loop {
+        if let Some(frame) = &inner.terminal {
+            return frame.clone();
+        }
         if !wait {
             return Response::Error {
                 code: ErrorCode::JobRunning,
@@ -697,23 +682,5 @@ fn results_response(shared: &ServerShared, id: u64, wait: bool) -> Response {
             };
         }
         inner = job.changed.wait(inner).unwrap();
-    }
-    match &inner.phase {
-        JobPhase::Done => Response::Done {
-            job: id,
-            report: Box::new((**inner.report.as_ref().expect("done jobs keep a report")).clone()),
-        },
-        JobPhase::Cancelled => Response::Error {
-            code: ErrorCode::JobCancelled,
-            message: format!(
-                "job {id} cancelled after {} of {} cases",
-                inner.completed, job.total
-            ),
-        },
-        JobPhase::Failed(msg) => Response::Error {
-            code: ErrorCode::Internal,
-            message: format!("job {id} failed: {msg}"),
-        },
-        JobPhase::Running => unreachable!("loop above exits only on terminal phases"),
     }
 }
