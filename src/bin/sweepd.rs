@@ -24,7 +24,6 @@ fn usage() -> ! {
          --socket PATH       Unix-domain socket to listen on (required)\n\
          --threads N         resident worker threads (default: all hardware\n\
          \u{20}                   threads)\n\
-         --pin-cores         pin worker i to core i mod cores (best-effort)\n\
          --journal-dir DIR   job journal directory (default: sweepd-journals)\n\
          --no-journal        disable job checkpointing entirely\n\
          --resume JOURNAL    resume an interrupted job from its journal;\n\
@@ -44,7 +43,6 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 fn main() {
     let mut socket: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
-    let mut pin_cores = false;
     let mut journal_dir: Option<PathBuf> = None;
     let mut no_journal = false;
     let mut resume: Vec<PathBuf> = Vec::new();
@@ -59,7 +57,6 @@ fn main() {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--pin-cores" => pin_cores = true,
             "--journal-dir" => journal_dir = Some(it.next().unwrap_or_else(|| usage()).into()),
             "--no-journal" => no_journal = true,
             "--resume" => resume.push(it.next().unwrap_or_else(|| usage()).into()),
@@ -78,7 +75,6 @@ fn main() {
     if let Some(n) = threads {
         config.threads = n.max(1);
     }
-    config.pin_cores = pin_cores;
     if no_journal {
         config.journal_dir = None;
     } else if let Some(dir) = journal_dir {

@@ -30,10 +30,6 @@
 //! through the private L1s once while any queued or running case needs
 //! it, and freed as soon as none does: once every submitted case's
 //! outcome is in, the memo holds nothing.
-//!
-//! Workers can optionally be pinned to cores (best-effort Linux
-//! `sched_setaffinity`; silently a no-op where unsupported) — useful for
-//! a resident daemon that should not migrate across a busy machine.
 
 use crate::engine::IsolationCache;
 use crate::scenario::expand::ScenarioCase;
@@ -171,10 +167,8 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Start `workers` (≥ 1) resident threads over a shared isolation
-    /// memo. With `pin_cores`, worker `i` is pinned to core
-    /// `i mod available_parallelism` — best-effort: pinning failure (or a
-    /// non-Linux host) is ignored, never fatal.
-    pub fn new(workers: usize, isolation: Arc<IsolationCache>, pin_cores: bool) -> Self {
+    /// memo.
+    pub fn new(workers: usize, isolation: Arc<IsolationCache>) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -184,20 +178,12 @@ impl WorkerPool {
             idle: Condvar::new(),
             isolation,
         });
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let handles = (0..workers)
             .map(|wi| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("sweep-worker-{wi}"))
-                    .spawn(move || {
-                        if pin_cores {
-                            pin_current_thread(wi % cores);
-                        }
-                        worker_loop(&shared);
-                    })
+                    .spawn(move || worker_loop(&shared))
                     .expect("worker thread spawns")
             })
             .collect();
@@ -400,27 +386,6 @@ pub(crate) fn run_case(case: &ScenarioCase, isolation: Arc<IsolationCache>) -> C
     }
 }
 
-/// Best-effort affinity pin of the calling thread to one core. Returns
-/// whether the kernel accepted it; failure is always tolerable.
-#[cfg(target_os = "linux")]
-pub(crate) fn pin_current_thread(core: usize) -> bool {
-    // 1024-CPU mask, the kernel's historical cpu_set_t width. Linking
-    // against libc is implicit (std already does), so a one-line extern
-    // declaration avoids a vendored libc stub for a single syscall.
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; 16];
-    let bit = core % (16 * 64);
-    mask[bit / 64] |= 1u64 << (bit % 64);
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
-}
-
-#[cfg(not(target_os = "linux"))]
-pub(crate) fn pin_current_thread(_core: usize) -> bool {
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,7 +407,7 @@ mod tests {
 
     #[test]
     fn run_ordered_returns_reports_in_case_order() {
-        let pool = WorkerPool::new(2, Arc::default(), false);
+        let pool = WorkerPool::new(2, Arc::default());
         let cases = tiny_cases();
         let reports = pool.run_ordered(&cases);
         assert_eq!(reports.len(), cases.len());
@@ -454,7 +419,7 @@ mod tests {
 
     #[test]
     fn pool_survives_jobs_and_keeps_the_memo_warm() {
-        let pool = WorkerPool::new(2, Arc::default(), false);
+        let pool = WorkerPool::new(2, Arc::default());
         let cases = tiny_cases();
         let first = pool.run_ordered(&cases);
         let stats_after_first = pool.isolation_cache().stats();
@@ -473,7 +438,7 @@ mod tests {
 
     #[test]
     fn cancelled_tasks_are_acknowledged_not_run() {
-        let pool = WorkerPool::new(1, Arc::default(), false);
+        let pool = WorkerPool::new(1, Arc::default());
         let cases = tiny_cases();
         let cancelled = Arc::new(AtomicBool::new(true));
         let (tx, rx) = std::sync::mpsc::channel();
@@ -500,7 +465,7 @@ mod tests {
     fn shutdown_acknowledges_queued_tasks() {
         // A single worker and a pile of tasks: shutdown must drain the
         // queue with Skipped acks so a counting collector terminates.
-        let pool = WorkerPool::new(1, Arc::default(), false);
+        let pool = WorkerPool::new(1, Arc::default());
         let cases = tiny_cases();
         let flag = Arc::new(AtomicBool::new(false));
         let (tx, rx) = std::sync::mpsc::channel();
@@ -521,7 +486,7 @@ mod tests {
     fn stop_skips_queued_cases() {
         // One worker, twenty queued cases, an immediate stop: at most the
         // case already running completes; the rest are skipped, not run.
-        let pool = WorkerPool::new(1, Arc::default(), false);
+        let pool = WorkerPool::new(1, Arc::default());
         let case = tiny_cases().remove(0);
         let flag = Arc::new(AtomicBool::new(false));
         let (tx, rx) = std::sync::mpsc::channel();
@@ -549,7 +514,7 @@ mod tests {
 
     #[test]
     fn submit_after_stop_is_acknowledged() {
-        let pool = WorkerPool::new(1, Arc::default(), false);
+        let pool = WorkerPool::new(1, Arc::default());
         pool.stop();
         let (tx, rx) = std::sync::mpsc::channel();
         pool.submit(CaseTask {
@@ -569,7 +534,7 @@ mod tests {
     fn failed_cases_carry_the_panic_message() {
         // Expansion rejects a budget of 0; a hand-built case with one
         // runs and panics on its zero isolation IPC.
-        let pool = WorkerPool::new(1, Arc::default(), false);
+        let pool = WorkerPool::new(1, Arc::default());
         let mut case = tiny_cases().remove(0);
         case.insts = 0;
         let (tx, rx) = std::sync::mpsc::channel();
@@ -608,7 +573,7 @@ mod tests {
 
     #[test]
     fn the_memo_holds_no_stream_after_run_ordered() {
-        let pool = WorkerPool::new(2, Arc::default(), false);
+        let pool = WorkerPool::new(2, Arc::default());
         let cases = memo_cases();
         pool.run_ordered(&cases);
         let s = pool.isolation_cache().streams().stats();
@@ -625,7 +590,7 @@ mod tests {
 
     #[test]
     fn a_cancelled_job_releases_its_queued_streams() {
-        let pool = WorkerPool::new(1, Arc::default(), false);
+        let pool = WorkerPool::new(1, Arc::default());
         let cases = memo_cases();
         let cancelled = Arc::new(AtomicBool::new(false));
         let (tx, rx) = std::sync::mpsc::channel();
@@ -648,12 +613,5 @@ mod tests {
         let s = pool.isolation_cache().streams().stats();
         assert_eq!((s.pinned, s.live, s.resident_bytes), (0, 0, 0), "{s:?}");
         pool.shutdown();
-    }
-
-    #[test]
-    fn pinning_is_best_effort() {
-        // Must never panic, whatever the host allows.
-        let _ = pin_current_thread(0);
-        let _ = pin_current_thread(10_000);
     }
 }

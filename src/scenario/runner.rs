@@ -104,7 +104,7 @@ impl SweepRunner {
         if cases.is_empty() {
             return Vec::new();
         }
-        let pool = WorkerPool::new(self.threads.min(cases.len()), self.isolation.clone(), false);
+        let pool = WorkerPool::new(self.threads.min(cases.len()), self.isolation.clone());
         let reports = pool.run_ordered(cases);
         pool.shutdown();
         reports

@@ -42,8 +42,6 @@ pub struct ServerConfig {
     pub socket: PathBuf,
     /// Resident worker threads.
     pub threads: usize,
-    /// Pin worker `i` to core `i mod cores` (best-effort, Linux only).
-    pub pin_cores: bool,
     /// Where job journals are written (`<dir>/<name>-job<id>.journal`);
     /// `None` disables checkpointing.
     pub journal_dir: Option<PathBuf>,
@@ -54,14 +52,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A config with the given socket, hardware-sized pool, journaling
-    /// into `sweepd-journals/`, no pinning, nothing to resume.
+    /// into `sweepd-journals/`, nothing to resume.
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         ServerConfig {
             socket: socket.into(),
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            pin_cores: false,
             journal_dir: Some(PathBuf::from("sweepd-journals")),
             resume: Vec::new(),
         }
@@ -116,11 +113,7 @@ impl SweepServer {
     /// already on it, or an unresumable journal.
     pub fn start(config: ServerConfig) -> Result<Self, ServerError> {
         let listener = bind_socket(&config.socket)?;
-        let pool = WorkerPool::new(
-            config.threads,
-            Arc::<IsolationCache>::default(),
-            config.pin_cores,
-        );
+        let pool = WorkerPool::new(config.threads, Arc::<IsolationCache>::default());
         let shared = Arc::new(ServerShared {
             pool,
             jobs: Mutex::new(BTreeMap::new()),
