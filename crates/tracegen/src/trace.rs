@@ -108,6 +108,9 @@ pub const MAX_META_BYTES: u32 = 64 * 1024 * 1024;
 /// while keeping a hostile header from sizing per-thread tables
 /// unboundedly.
 pub const MAX_TRACE_THREADS: usize = 1 << 16;
+/// Upper bound on [`DecodeOptions::workers`]: the decode pool spawns one
+/// thread per worker, and one or two already keep a replay fed.
+pub const MAX_DECODE_WORKERS: usize = 64;
 /// v2 chunk codec: payload is the varint stream, stored as-is.
 pub const CODEC_RAW: u8 = 0;
 /// v2 chunk codec: payload is [`crate::dict`]-compressed.
@@ -998,8 +1001,15 @@ pub(crate) struct DecodePool {
 }
 
 impl DecodePool {
-    /// Spawn `workers.max(1)` decode threads.
+    /// Spawn `workers.max(1)` decode threads; a count above
+    /// [`MAX_DECODE_WORKERS`] is an error before any thread starts.
     pub(crate) fn new(workers: usize) -> io::Result<Self> {
+        if workers > MAX_DECODE_WORKERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{workers} decode workers requested (cap {MAX_DECODE_WORKERS})"),
+            ));
+        }
         let (tasks, queue) = mpsc::channel();
         let queue = Arc::new(Mutex::new(queue));
         let mut pool = DecodePool {
@@ -1176,7 +1186,9 @@ pub fn open_sources(
 
 /// [`open_sources`] with explicit [`DecodeOptions`]: a non-zero worker
 /// count spawns one pool of decode workers shared by all the returned
-/// sources (dropping the last source stops and joins the workers).
+/// sources (dropping the last source stops and joins the workers). A
+/// count above [`MAX_DECODE_WORKERS`] is an error, before any thread
+/// starts.
 pub fn open_sources_with(
     path: impl AsRef<Path>,
     opts: &DecodeOptions,

@@ -45,8 +45,8 @@ fn usage() -> ! {
          \u{20}   validate FILE and run it through the engine. Defaults to\n\
          \u{20}   the recorded insts/seed/salt/scheme, so a bare replay\n\
          \u{20}   reproduces the capture run bit for bit. --decode-workers\n\
-         \u{20}   (default 2, 0 = inline) decodes chunks ahead of the\n\
-         \u{20}   simulation; the result is identical at any count.\n\
+         \u{20}   (default 2, 0 = inline, at most 64) decodes chunks ahead\n\
+         \u{20}   of the simulation; the result is identical at any count.\n\
          \n\
          trace info FILE [--json]\n\
          \u{20}   validate FILE as replay does and print the container\n\
@@ -233,6 +233,9 @@ fn cmd_record(args: &[String]) {
     }
 
     // Capture mode: run the simulation, tee the consumed streams.
+    if insts == 0 {
+        fail("--insts must be positive");
+    }
     let engine = engine_for(
         p.get("scheme").unwrap_or("L"),
         wl.threads(),
@@ -265,6 +268,7 @@ fn cmd_replay(args: &[String]) {
     let info = trace::validate_path(path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
     let meta = &info.meta;
     let insts = match (p.get_u64("insts"), meta.insts) {
+        (Some(0), _) => fail("--insts must be positive"),
         (Some(n), _) => n,
         (None, 0) => fail(format!(
             "{path} is a generator-streamed trace with no recorded instruction \

@@ -53,7 +53,7 @@ use cachesim::PolicyKind;
 use cmpsim::{MachineConfig, SimResult, System, WorkloadMetrics};
 use plru_core::{CpaConfig, ProfilerFidelity, Scheme};
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{self, BufWriter};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use tracegen::trace::{
@@ -302,12 +302,21 @@ impl SimEngine {
     /// choice: [`Compression::Dict`] writes a block-compressed v2
     /// container (`Compression::None` keeps the byte-stable v1 format).
     /// The recorded record streams are identical either way.
+    ///
+    /// A zero instruction target is an error, and no file is written: a
+    /// header with `insts` 0 marks a generator-streamed trace.
     pub fn record_trace_with(
         &self,
         workload: &Workload,
         path: impl AsRef<Path>,
         compression: Compression,
     ) -> Result<SimResult, TraceError> {
+        if self.cfg.insts_target == 0 {
+            return Err(TraceError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a capture's instruction target must be positive",
+            )));
+        }
         let profiles = workload.profiles();
         let meta = TraceMeta {
             workload: workload.name.clone(),

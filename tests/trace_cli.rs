@@ -288,6 +288,50 @@ fn a_corrupt_payload_fails_replay_and_info_alike() {
     assert_eq!(errs[0], errs[1], "replay and info must agree");
 }
 
+#[test]
+fn zero_instruction_targets_are_rejected() {
+    let path = tmp("plru_cli_zero_insts.pltc");
+    let _ = std::fs::remove_file(&path);
+    let rec = run(trace_bin().args([
+        "record",
+        "--workload",
+        "2T_06",
+        "--insts",
+        "0",
+        "--out",
+        path.to_str().unwrap(),
+    ]));
+    let rep = run(trace_bin().args([
+        "replay",
+        "scenarios/traces/smoke_2T_06.pltc",
+        "--insts",
+        "0",
+    ]));
+    for (sub, out) in [("record", &rec), ("replay", &rep)] {
+        assert_eq!(out.status.code(), Some(1), "{sub}: {}", stderr(out));
+        assert_eq!(stderr(out), "trace: --insts must be positive\n", "{sub}");
+    }
+    assert!(!path.exists(), "a rejected record must write no file");
+}
+
+#[test]
+fn replay_bounds_the_decode_worker_count() {
+    let workers = plru_repro::tracegen::trace::MAX_DECODE_WORKERS + 1;
+    let out = run(trace_bin().args([
+        "replay",
+        "scenarios/traces/smoke_2T_06.pltc",
+        "--decode-workers",
+        &workers.to_string(),
+    ]));
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.starts_with("trace: ") && err.lines().count() == 1,
+        "{err}"
+    );
+    assert!(err.contains(&format!("{workers} decode workers")), "{err}");
+}
+
 /// A one-thread, generator-streamed `gzip` container whose third record
 /// carries `gap` instructions.
 fn trace_with_gap(name: &str, gap: u32) -> PathBuf {

@@ -105,6 +105,20 @@ fn replay_beyond_the_recorded_target_is_a_readable_error() {
 }
 
 #[test]
+fn recording_at_a_zero_target_is_an_error() {
+    // Its header would read `insts: 0`, the mark of a generator-streamed
+    // trace, so the capture is refused before the file is created.
+    let path = tmp("plru_replay_zero_target.pltc");
+    let _ = std::fs::remove_file(&path);
+    let engine = SimEngine::builder().cores(2).insts(0).build();
+    let err = engine
+        .record_trace(&workload("2T_06").unwrap(), &path)
+        .unwrap_err();
+    assert!(err.to_string().contains("must be positive"), "{err}");
+    assert!(!path.exists(), "a refused capture must write no file");
+}
+
+#[test]
 fn v2_replay_is_bit_identical_to_v1_and_live_at_any_worker_count() {
     // The tentpole acceptance check: a dict-compressed v2 container must
     // replay to the exact SimResult of both the v1 container and live
