@@ -12,9 +12,8 @@
 //! What an engine simulates *under* is a first-class [`Scheme`] — the
 //! policy × partitioning point from the `plru_core` scheme registry. The
 //! builder takes one via [`SimEngineBuilder::scheme`] (parse it from its
-//! canonical acronym or construct it from a [`CpaConfig`]). The old
-//! separate `.policy(..)` / `.cpa(..)` setters survived one release as
-//! deprecated shims and are gone; `Scheme` is the one config currency.
+//! canonical acronym or construct it from a [`CpaConfig`]); `Scheme` is
+//! the one config currency.
 //!
 //! Dispatch stays enum-based end to end ([`PolicyKind`] / [`CpaConfig`]):
 //! there are no trait objects anywhere on the per-access hot path. Every
