@@ -11,7 +11,14 @@
 //! the simulator takes for most of its accesses (the id keeps its
 //! historical name). Both groups run the same signature-plane kernel, so
 //! the gap between them is the per-call dispatch and plumbing.
+//!
+//! The `l1_access` group times the private-L1 layer: one L1D stream of
+//! 100k generator records through the Table II L1D shape, once on the
+//! `PrivateLru` the simulator's L1s run (`private-lru`) and once on a
+//! one-core LRU `Cache` (`cache-lru`), which answers every access the
+//! same way.
 
+use cachesim::hierarchy::PrivateLru;
 use cachesim::{Access, BatchStats, Cache, CacheConfig, CacheGeometry, PolicyKind, WayMask};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -104,10 +111,51 @@ fn bench_scalar_access(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_l1_access(c: &mut Criterion) {
+    let l1d = cmpsim::MachineConfig::paper_baseline(1).l1d;
+    let mut gen = tracegen::TraceGenerator::new(tracegen::benchmark("mcf").unwrap(), 5);
+    let stream: Vec<(u64, bool)> = (0..100_000)
+        .map(|_| {
+            let r = gen.next_record();
+            (r.addr, r.is_write)
+        })
+        .collect();
+    let mut group = c.benchmark_group("l1_access");
+    group.bench_function("private-lru", |b| {
+        let mut l1 = PrivateLru::new(l1d);
+        b.iter(|| {
+            l1.reset();
+            let mut hits = 0u64;
+            for &(addr, write) in black_box(&stream) {
+                hits += u64::from(l1.access(addr, write));
+            }
+            black_box(hits)
+        })
+    });
+    group.bench_function("cache-lru", |b| {
+        let mut l1 = Cache::new(CacheConfig {
+            geometry: l1d,
+            policy: PolicyKind::Lru,
+            num_cores: 1,
+            seed: 0,
+        });
+        b.iter(|| {
+            l1.reset();
+            let mut hits = 0u64;
+            for &(addr, write) in black_box(&stream) {
+                hits += u64::from(l1.access(0, addr, write).hit);
+            }
+            black_box(hits)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_policy_access,
     bench_masked_access,
-    bench_scalar_access
+    bench_scalar_access,
+    bench_l1_access
 );
 criterion_main!(benches);

@@ -10,9 +10,11 @@
 //! words). Invalid-way fills come straight from the valid word's
 //! complement — no per-way branching anywhere.
 //!
-//! Every access runs one per-access kernel (kernel v2), whether it
-//! arrives alone through [`Cache::access`] or in a slice through
-//! [`Cache::access_batch`]:
+//! A `Cache` is the shared L2: the private L1s are
+//! [`PrivateLru`](crate::hierarchy::PrivateLru) recency rows, with a
+//! one-core LRU `Cache` as their test reference. Every access runs one
+//! per-access kernel (kernel v2), whether it arrives alone through
+//! [`Cache::access`] or in a slice through [`Cache::access_batch`]:
 //!
 //! * **SWAR multi-way probe** — each way's tag is summarized by an 8-bit
 //!   multiplicative signature; a set packs them eight-per-u64. One XOR
@@ -33,7 +35,7 @@
 //! batch pays one dispatch for its whole slice. In the simulator single
 //! accesses dominate: on the Figure 8 sweep at 100k instructions per
 //! thread, 94.6% of L2 accesses are L1D misses through `Cache::access`,
-//! and almost every instruction-fetch batch holds one line.
+//! and almost every L1I-miss batch holds one line.
 //!
 //! The per-way tag-row scan survives only as the reference the
 //! differential property suites compare the kernel against
@@ -680,8 +682,8 @@ impl Cache {
     ///
     /// One policy dispatch, then the signature-plane kernel that
     /// [`Cache::access_batch`] runs per access. This is how the simulator
-    /// reaches its caches most of the time: every L1D access, every L1I
-    /// fetch line and every L1D miss into the shared L2.
+    /// reaches the shared L2 most of the time: every L1D miss comes
+    /// through here.
     pub fn access(&mut self, core: usize, addr: Addr, write: bool) -> AccessOutcome {
         let (policy, mut planes) = self.split();
         match policy {

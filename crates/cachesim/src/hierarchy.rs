@@ -3,11 +3,92 @@
 //!
 //! The hierarchy is non-inclusive and write-allocate; writebacks are not
 //! modelled (the paper's timing only charges miss penalties, Table II).
+//!
+//! Partitioning, pseudo-LRU and profiling act only on the shared L2, a
+//! [`Cache`]. The private L1s are true-LRU filters with one user, so
+//! they are [`PrivateLru`]s: per-set recency rows with none of the
+//! shared kernel's owner, signature or enforcement planes.
 
 use crate::addr::Addr;
 use crate::cache::{Access, BatchStats, Cache, CacheConfig};
 use crate::geometry::CacheGeometry;
 use crate::policy::PolicyKind;
+use crate::stats::CacheStats;
+
+/// A private true-LRU cache: per set, its resident tags in recency order
+/// (MRU first) and how many there are.
+///
+/// True LRU's hits depend only on which lines are the set's `A` most
+/// recently used, not on the ways they sit in, so the row needs no way
+/// placement, sentinel tag or policy state. An access answers and counts
+/// exactly like [`Cache::access`] on a one-core [`PolicyKind::Lru`]
+/// `Cache` of the same geometry (property-tested against one), and
+/// [`PrivateLru::stats`] reports that cache's statistics, all on core 0.
+#[derive(Debug, Clone)]
+pub struct PrivateLru {
+    geom: CacheGeometry,
+    /// `rows[set * assoc + r]`: the tag at recency rank `r` (0 = MRU);
+    /// only the first `fill[set]` entries of a row are resident.
+    rows: Vec<u64>,
+    /// Resident lines per set, `0..=assoc`.
+    fill: Vec<u8>,
+    stats: CacheStats,
+}
+
+impl PrivateLru {
+    /// A cold cache of `geometry`.
+    pub fn new(geometry: CacheGeometry) -> Self {
+        PrivateLru {
+            geom: geometry,
+            rows: vec![0; geometry.num_sets() * geometry.assoc()],
+            fill: vec![0; geometry.num_sets()],
+            stats: CacheStats::new(1),
+        }
+    }
+
+    /// Access `addr`; `true` on a hit. A miss fills the line as the
+    /// set's MRU, evicting its LRU line when the set is full.
+    #[inline]
+    pub fn access(&mut self, addr: Addr, write: bool) -> bool {
+        let assoc = self.geom.assoc();
+        let set = self.geom.set_index(addr);
+        let tag = self.geom.tag(addr);
+        let row = &mut self.rows[set * assoc..(set + 1) * assoc];
+        let fill = &mut self.fill[set];
+        let resident = usize::from(*fill);
+        let mut hit = resident != 0 && row[0] == tag;
+        if !hit {
+            // Carry the new MRU tag down the row: each resident tag moves
+            // one rank older, up to the accessed tag's old rank on a hit
+            // or off the end of a full row (the LRU victim) on a miss.
+            let mut carry = tag;
+            for slot in &mut row[..resident] {
+                carry = std::mem::replace(slot, carry);
+                if carry == tag {
+                    hit = true;
+                    break;
+                }
+            }
+            if !hit && resident < assoc {
+                row[resident] = carry;
+                *fill += 1;
+            }
+        }
+        self.stats.record(0, hit, write);
+        hit
+    }
+
+    /// Accumulated statistics, one core's worth.
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// Reset all content and statistics.
+    pub fn reset(&mut self) {
+        self.fill.iter_mut().for_each(|f| *f = 0);
+        self.stats.reset();
+    }
+}
 
 /// Which level serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,36 +113,26 @@ pub struct HierarchyOutcome {
 #[derive(Debug, Clone)]
 pub struct L1Pair {
     /// Instruction cache.
-    pub icache: Cache,
+    pub icache: PrivateLru,
     /// Data cache.
-    pub dcache: Cache,
+    pub dcache: PrivateLru,
 }
 
 impl L1Pair {
-    /// A cold pair. L1s always use true LRU (Table II) and are private:
-    /// each is a one-core cache.
+    /// A cold pair. L1s always use true LRU (Table II) and are private.
     pub fn new(l1i: CacheGeometry, l1d: CacheGeometry) -> Self {
-        let private = |geometry| {
-            Cache::new(CacheConfig {
-                geometry,
-                policy: PolicyKind::Lru,
-                num_cores: 1,
-                seed: 0,
-            })
-        };
         L1Pair {
-            icache: private(l1i),
-            dcache: private(l1d),
+            icache: PrivateLru::new(l1i),
+            dcache: PrivateLru::new(l1d),
         }
     }
 
     /// Fetch `addrs` through the L1I, appending the lines that missed —
     /// as reads by `core`, in stream order — to `misses`.
+    #[inline]
     pub fn fetch(&mut self, core: usize, addrs: &[Addr], misses: &mut Vec<Access>) {
         for &a in addrs {
-            // The L1I is a one-core cache (core id 0); the shared L2
-            // needs the real issuing core.
-            if !self.icache.access(0, a, false).hit {
+            if !self.icache.access(a, false) {
                 misses.push(Access::read(core, a));
             }
         }
@@ -70,7 +141,7 @@ impl L1Pair {
     /// A data access through the L1D; `true` on a hit.
     #[inline]
     pub fn data(&mut self, addr: Addr, write: bool) -> bool {
-        self.dcache.access(0, addr, write).hit
+        self.dcache.access(addr, write)
     }
 }
 
@@ -204,8 +275,7 @@ impl Hierarchy {
 
     /// Instruction fetch from `core`.
     pub fn access_inst(&mut self, core: usize, addr: Addr) -> HierarchyOutcome {
-        let l1_out = self.l1[core].icache.access(0, addr, false);
-        if l1_out.hit {
+        if self.l1[core].icache.access(addr, false) {
             return HierarchyOutcome {
                 level: MemLevel::L1,
             };

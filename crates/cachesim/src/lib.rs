@@ -19,8 +19,9 @@
 //!   partitions are therefore installed as aligned-subtree masks, and the
 //!   vectors stay as the reference walk (and as the hardware `hwmodel`
 //!   prices),
-//! * the composed [`Cache`] structure with per-core statistics, and a small
-//!   private-L1 + shared-L2 [`hierarchy`].
+//! * the composed [`Cache`] structure with per-core statistics (the shared
+//!   L2), and a small private-L1 + shared-L2 [`hierarchy`] whose L1s are
+//!   true-LRU recency rows ([`hierarchy::PrivateLru`]).
 //!
 //! All state transitions are implemented at *bit-accurate* granularity with
 //! respect to the paper's description so that the complexity formulas in the

@@ -59,14 +59,9 @@ impl CacheStats {
     pub fn record(&mut self, core: usize, hit: bool, write: bool) {
         let s = &mut self.per_core[core];
         s.accesses += 1;
-        if hit {
-            s.hits += 1;
-        } else {
-            s.misses += 1;
-        }
-        if write {
-            s.writes += 1;
-        }
+        s.hits += u64::from(hit);
+        s.misses += u64::from(!hit);
+        s.writes += u64::from(write);
     }
 
     /// Record that `core` evicted a line owned by another core.

@@ -40,8 +40,8 @@ pub struct Records {
     source: Box<dyn TraceSource>,
     code_lines: u64,
     insts_per_fetch_line: u64,
-    /// Sequential instruction-fetch cursor (line units).
-    fetch_cursor: u64,
+    /// The code line the next fetch reads, in `0..code_lines`.
+    fetch_line: u64,
     /// Instructions since the last fetch-line boundary.
     fetch_accum: u64,
     core_id: usize,
@@ -62,7 +62,7 @@ impl Records {
             source,
             code_lines: profile.code_lines.max(1),
             insts_per_fetch_line,
-            fetch_cursor: 0,
+            fetch_line: 0,
             fetch_accum: 0,
             core_id,
         }
@@ -82,16 +82,20 @@ impl Records {
     /// first): the fetch cursor walks the benchmark's code footprint
     /// cyclically, one L1I line per `insts_per_fetch_line` instructions.
     /// The simulator's hot loop reuses one buffer per core so the
-    /// batched fetch path never allocates per record.
+    /// batched fetch path never allocates per record. Most records fetch
+    /// no line or one, so the walk subtracts and wraps instead of
+    /// dividing.
+    #[inline]
     pub fn fetch_addrs_into(&mut self, insts: u64, out: &mut Vec<u64>) {
         out.clear();
         self.fetch_accum += insts;
-        let n = self.fetch_accum / self.insts_per_fetch_line;
-        self.fetch_accum %= self.insts_per_fetch_line;
-        for _ in 0..n {
-            let line = self.fetch_cursor % self.code_lines;
-            self.fetch_cursor += 1;
-            out.push(code_addr(self.core_id, line));
+        while self.fetch_accum >= self.insts_per_fetch_line {
+            self.fetch_accum -= self.insts_per_fetch_line;
+            out.push(code_addr(self.core_id, self.fetch_line));
+            self.fetch_line += 1;
+            if self.fetch_line == self.code_lines {
+                self.fetch_line = 0;
+            }
         }
     }
 }

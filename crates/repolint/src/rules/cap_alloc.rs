@@ -5,15 +5,17 @@
 //! `.take(n)` whose `n` involves a runtime value must be *dominated* by
 //! a named cap: either the argument itself is capped in place
 //! (`n.min(MAX_X)`, or the argument is a SCREAMING_CASE constant), or
-//! the enclosing function compares something against a
-//! SCREAMING_CASE cap constant (`if n > MAX_X { return Err(..) }`)
-//! before the allocation site.
+//! an earlier statement of the enclosing function compares one of the
+//! argument's identifiers against a SCREAMING_CASE cap constant
+//! (`if n > MAX_X { return Err(..) }`, `let n = len.min(MAX_X);`).
 //!
-//! This is a token-level dominance check, not dataflow — it cannot see
-//! *which* variable was compared. It exists to catch the regression
-//! that actually happened (a decoded length allocated with no cap in
-//! sight); `// repolint: allow(cap-alloc) — …` covers the cases it
-//! cannot reason about.
+//! This is a token-level dominance check, not dataflow: the guarding
+//! statement must name an identifier of the size argument, but the
+//! check cannot see reassignments in between. It exists to catch the
+//! regression that actually happened (a decoded length allocated with
+//! no cap in sight) and a cap on one value standing in for another;
+//! `// repolint: allow(cap-alloc) — …` covers the cases it cannot
+//! reason about.
 
 use crate::config::Config;
 use crate::findings::Finding;
@@ -121,7 +123,13 @@ fn check_alloc(
     }
 
     // Dominance: from the enclosing `fn` head to the site, some token
-    // must be a SCREAMING cap const next to a comparison or `.min(`.
+    // must be a SCREAMING cap const next to a comparison or `.min(`, in
+    // a statement that names one of the size argument's identifiers.
+    let sized_by: Vec<&str> = args
+        .iter()
+        .filter(|t| t.kind == Kind::Ident && !is_benign_ident(&t.text) && t.text != "self")
+        .map(|t| t.text.as_str())
+        .collect();
     let fn_start = (0..site)
         .rev()
         .find(|&k| toks[k].kind == Kind::Ident && toks[k].text == "fn")
@@ -134,6 +142,9 @@ fn check_alloc(
                 .skip(k.saturating_sub(3))
                 .take(7)
                 .any(|n| matches!(n.text.as_str(), ">" | "<" | ">=" | "<=" | "min" | "clamp"))
+            && statement(window, k)
+                .iter()
+                .any(|n| n.kind == Kind::Ident && sized_by.contains(&n.text.as_str()))
     });
     if !guarded {
         out.push(Finding {
@@ -147,6 +158,18 @@ fn check_alloc(
             ),
         });
     }
+}
+
+/// The tokens of the statement around `toks[k]`: out to the nearest `;`,
+/// `{` or `}` on either side, so an `if` condition ends at its block.
+fn statement<'a>(toks: &'a [&'a Tok], k: usize) -> &'a [&'a Tok] {
+    let bound = |t: &&Tok| matches!(t.text.as_str(), ";" | "{" | "}");
+    let start = toks[..k].iter().rposition(bound).map_or(0, |i| i + 1);
+    let end = toks[k..]
+        .iter()
+        .position(bound)
+        .map_or(toks.len(), |i| k + i);
+    &toks[start..end]
 }
 
 /// SCREAMING_CASE ident — a named cap (or other compile-time constant).

@@ -268,6 +268,43 @@ fn cap_alloc_fires_without_a_dominating_cap() {
 }
 
 #[test]
+fn cap_alloc_wants_the_cap_on_the_allocated_value() {
+    let mut ws = base_ws();
+    scaffold(&mut ws);
+    let hardened = ws
+        .files
+        .iter_mut()
+        .find(|f| f.path == "crates/lowcrate/src/decode.rs")
+        .unwrap();
+    *hardened = SourceFile::from_source(
+        "crates/lowcrate/src/decode.rs",
+        "lowcrate",
+        concat!(
+            "pub const MAX_IN: u32 = 64;\n",
+            "pub fn other_value(n: u32, m: u32) -> Option<Vec<u8>> {\n",
+            "    if n > MAX_IN { return None; }\n",
+            "    Some(vec![0u8; m as usize])\n",
+            "}\n",
+            "pub fn capped_binding(len: u32) -> Vec<u8> {\n",
+            "    let n = len.min(MAX_IN);\n",
+            "    Vec::with_capacity(n as usize)\n",
+            "}\n",
+            "pub fn field(h: Header) -> Option<Vec<u8>> {\n",
+            "    if h.len > MAX_IN { return None; }\n",
+            "    Some(vec![0u8; h.len as usize])\n",
+            "}\n",
+        ),
+    );
+    let report = run(&ws);
+    let hits = rules_fired(&report, "cap-alloc");
+    assert_eq!(
+        hits,
+        vec![("crates/lowcrate/src/decode.rs".into(), 4)],
+        "a cap on `n` does not cap an allocation sized by `m`"
+    );
+}
+
+#[test]
 fn error_style_fires_on_uppercase_and_multiline() {
     let mut ws = base_ws();
     scaffold(&mut ws);

@@ -13,6 +13,7 @@
 //!     --resume sweepd-journals/smoke-2t-job1.journal
 //! ```
 
+use plru_repro::scenario::pool::MAX_POOL_WORKERS;
 use plru_repro::service::{ServerConfig, SweepServer};
 use std::path::PathBuf;
 use std::process::exit;
@@ -22,8 +23,8 @@ fn usage() -> ! {
         "usage: sweepd --socket PATH [options]\n\
          \n\
          --socket PATH       Unix-domain socket to listen on (required)\n\
-         --threads N         resident worker threads (default: all hardware\n\
-         \u{20}                   threads)\n\
+         --threads N         resident worker threads, at most {MAX_POOL_WORKERS}\n\
+         \u{20}                   (default: all hardware threads, up to the cap)\n\
          --journal-dir DIR   job journal directory (default: sweepd-journals)\n\
          --no-journal        disable job checkpointing entirely\n\
          --resume JOURNAL    resume an interrupted job from its journal;\n\

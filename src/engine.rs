@@ -17,11 +17,13 @@
 //!
 //! Dispatch stays enum-based end to end ([`PolicyKind`] / [`CpaConfig`]):
 //! there are no trait objects anywhere on the per-access hot path. Every
-//! cache access a simulation makes runs one signature-plane kernel, after
-//! one policy dispatch per call: the private L1s and the L1D misses reach
-//! it one access at a time through `cachesim::Cache::access`, and
-//! `cmpsim::System::run` hands the shared L2 each record's L1I misses
-//! through `Cache::access_batch` (almost always a single line).
+//! shared-L2 access a simulation makes runs one signature-plane kernel,
+//! after one policy dispatch per call: the L1D misses reach it one access
+//! at a time through `cachesim::Cache::access`, and
+//! `cmpsim::System::run` hands it each record's L1I misses through
+//! `Cache::access_batch` (almost always a single line). The private L1s
+//! are true-LRU recency rows (`cachesim::hierarchy::PrivateLru`), with
+//! no policy dispatch at all.
 //!
 //! The experiment-fleet helpers live here too: [`parallel_map`] fans
 //! independent simulations out over hardware threads, and the engine

@@ -42,6 +42,11 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
+/// Upper bound on a resident pool's workers. Each is an OS thread and
+/// runs one case at a time, so a pool wider than the host only queues;
+/// a request above this is refused before any thread starts.
+pub const MAX_POOL_WORKERS: usize = 256;
+
 /// One unit of pool work: a case plus the channel its outcome goes to
 /// and the cancellation flag of the job it belongs to.
 pub struct CaseTask {

@@ -115,7 +115,8 @@ impl SweepRunner {
 /// through a private L1D exactly as the CMP does, and feed the surviving
 /// L2 stream to every requested profiler.
 pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, ScenarioError> {
-    use cachesim::{Cache, CacheConfig, PolicyKind};
+    use cachesim::hierarchy::PrivateLru;
+    use cachesim::PolicyKind;
     use plru_core::{NruUpdateMode, Profiler, ProfilerFidelity};
     use tracegen::TraceGenerator;
 
@@ -167,19 +168,14 @@ pub fn run_miss_curves(spec: &MissCurveSpec) -> Result<MissCurveReport, Scenario
         profilers.push((label, prof));
     }
 
-    let mut l1 = Cache::new(CacheConfig {
-        geometry: baseline.l1d,
-        policy: PolicyKind::Lru,
-        num_cores: 1,
-        seed: 0,
-    });
+    let mut l1 = PrivateLru::new(baseline.l1d);
     let records = spec.records.unwrap_or(400_000);
     let benchmark = profile.name.clone();
     let mut gen = TraceGenerator::new(profile, spec.trace_seed.unwrap_or(42));
     let mut l2_accesses = 0u64;
     for _ in 0..records {
         let rec = gen.next_record();
-        if !l1.access(0, rec.addr, rec.is_write).hit {
+        if !l1.access(rec.addr, rec.is_write) {
             l2_accesses += 1;
             for (_, prof) in &mut profilers {
                 prof.observe(rec.addr);

@@ -17,7 +17,7 @@
 //! exist: a resubmitted spec reuses every solo-run IPC the first run
 //! paid for (`memo_misses == 0` in its [`JobSummary`]).
 
-use crate::scenario::pool::{CaseTask, WorkerPool};
+use crate::scenario::pool::{CaseTask, WorkerPool, MAX_POOL_WORKERS};
 use crate::scenario::{CaseOutcome, CaseReport, ScenarioSpec, SweepReport};
 use crate::service::journal::{Journal, JournalError, JournalState};
 use crate::service::protocol::{
@@ -40,7 +40,7 @@ pub struct ServerConfig {
     /// Unix-domain socket path to listen on. A stale socket file left by
     /// a dead daemon is removed; a *live* daemon on the path is an error.
     pub socket: PathBuf,
-    /// Resident worker threads.
+    /// Resident worker threads, at most [`MAX_POOL_WORKERS`].
     pub threads: usize,
     /// Where job journals are written (`<dir>/<name>-job<id>.journal`);
     /// `None` disables checkpointing.
@@ -57,8 +57,7 @@ impl ServerConfig {
         ServerConfig {
             socket: socket.into(),
             threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+                .map_or(4, |n| n.get().min(MAX_POOL_WORKERS)),
             journal_dir: Some(PathBuf::from("sweepd-journals")),
             resume: Vec::new(),
         }
@@ -109,9 +108,13 @@ pub struct SweepServer {
 }
 
 impl SweepServer {
-    /// Bind and serve. Fails fast on a bad socket path, a live daemon
-    /// already on it, or an unresumable journal.
+    /// Bind and serve. Fails fast, before any thread starts, on more
+    /// than [`MAX_POOL_WORKERS`] workers, a bad socket path, a live
+    /// daemon already on it, or an unresumable journal.
     pub fn start(config: ServerConfig) -> Result<Self, ServerError> {
+        if config.threads > MAX_POOL_WORKERS {
+            return Err(ServerError::TooManyThreads(config.threads));
+        }
         let listener = bind_socket(&config.socket)?;
         let pool = WorkerPool::new(config.threads, Arc::<IsolationCache>::default());
         let shared = Arc::new(ServerShared {
@@ -178,6 +181,8 @@ pub enum ServerError {
     /// A resumed spec failed to re-expand, or expands to a different
     /// case count than the journal header recorded.
     ResumeMismatch(PathBuf, String),
+    /// More resident workers were asked for than [`MAX_POOL_WORKERS`].
+    TooManyThreads(usize),
 }
 
 impl std::fmt::Display for ServerError {
@@ -190,6 +195,9 @@ impl std::fmt::Display for ServerError {
             ServerError::Resume(e) => write!(f, "resume: {e}"),
             ServerError::ResumeMismatch(p, msg) => {
                 write!(f, "resume {}: {msg}", p.display())
+            }
+            ServerError::TooManyThreads(n) => {
+                write!(f, "{n} worker threads requested (cap {MAX_POOL_WORKERS})")
             }
         }
     }

@@ -238,3 +238,26 @@ fn management_flags_validate_their_usage() {
     let out = sweepd_bin().output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn threads_above_the_cap_fail_before_any_worker_starts() {
+    let dir = scratch("threads-cap");
+    let socket = dir.join("sweepd.sock");
+    let threads = plru_repro::scenario::pool::MAX_POOL_WORKERS + 1;
+    let out = sweepd_bin()
+        .args(["--socket", socket.to_str().unwrap(), "--no-journal"])
+        .args(["--threads", &threads.to_string()])
+        .output()
+        .unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(
+        err,
+        format!(
+            "sweepd: {threads} worker threads requested (cap {})\n",
+            threads - 1
+        )
+    );
+    assert!(!socket.exists(), "a refused daemon binds no socket");
+    let _ = std::fs::remove_dir_all(&dir);
+}
