@@ -8,7 +8,7 @@
 //! per chunk) and are what `BENCH_*.json` baselines and the CI bench gate
 //! track. The `cache_access_scalar` group runs the same stream one
 //! [`Cache::access`] call at a time: the production single-access path
-//! the simulator takes for most of its accesses (the id keeps its
+//! the simulator takes for every L2 access (the id keeps its
 //! historical name). Both groups run the same signature-plane kernel, so
 //! the gap between them is the per-call dispatch and plumbing.
 //!

@@ -38,11 +38,6 @@ pub fn ratio(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Format a percentage delta against 1.0 (e.g. 0.964 -> "-3.6%").
-pub fn pct_delta(x: f64) -> String {
-    format!("{:+.1}%", (x - 1.0) * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +65,5 @@ mod tests {
     #[test]
     fn ratio_and_delta_formats() {
         assert_eq!(ratio(0.9637), "0.964");
-        assert_eq!(pct_delta(0.964), "-3.6%");
-        assert_eq!(pct_delta(1.081), "+8.1%");
     }
 }

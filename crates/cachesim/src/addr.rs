@@ -24,12 +24,6 @@ impl LineAddr {
     pub fn from_byte_addr(addr: Addr, offset_bits: u32) -> Self {
         LineAddr(addr >> offset_bits)
     }
-
-    /// Recover the base byte address of this line.
-    #[inline]
-    pub fn to_byte_addr(self, offset_bits: u32) -> Addr {
-        self.0 << offset_bits
-    }
 }
 
 impl From<u64> for LineAddr {
@@ -47,7 +41,6 @@ mod tests {
         let a: Addr = 0xdead_beef;
         let l = LineAddr::from_byte_addr(a, 7); // 128 B lines
         assert_eq!(l.0, 0xdead_beef >> 7);
-        assert_eq!(l.to_byte_addr(7), (0xdead_beef >> 7) << 7);
     }
 
     #[test]

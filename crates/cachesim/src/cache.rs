@@ -12,8 +12,11 @@
 //!
 //! A `Cache` is the shared L2: the private L1s are
 //! [`PrivateLru`](crate::hierarchy::PrivateLru) recency rows, with a
-//! one-core LRU `Cache` as their test reference. Every access runs one
-//! per-access kernel (kernel v2), whether it arrives alone through
+//! one-core LRU `Cache` as their test reference. A `Cache` holds its
+//! replacement policy beside one owned set of planes (geometry, tag,
+//! signature, valid and owner planes, enforcement, its plan and the
+//! statistics), so the kernel borrows the two at once. Every access runs
+//! one per-access kernel (kernel v2), whether it arrives alone through
 //! [`Cache::access`] or in a slice through [`Cache::access_batch`]:
 //!
 //! * **SWAR multi-way probe** — each way's tag is summarized by an 8-bit
@@ -32,14 +35,16 @@
 //!   aligned-subtree partitions are masks too.
 //!
 //! Both entry points dispatch on the policy enum once per call, so a
-//! batch pays one dispatch for its whole slice. In the simulator single
-//! accesses dominate: on the Figure 8 sweep at 100k instructions per
-//! thread, 94.6% of L2 accesses are L1D misses through `Cache::access`,
-//! and almost every L1I-miss batch holds one line.
+//! batch pays one dispatch for its whole slice. The simulator reaches
+//! the L2 only through `Cache::access`: `System::run` charges each L1
+//! miss of a step in one loop, the fetch lines first and then the data
+//! miss. `Cache::access_batch` serves perfbench's staged pass and the
+//! `cache_access/*` bench ids.
 //!
 //! The per-way tag-row scan survives only as the reference the
 //! differential property suites compare the kernel against
-//! (`Cache::access_reference`, hidden from the docs). It reads the
+//! (`Cache::access_reference`, hidden from the docs), and as the lookup
+//! behind [`Cache::probe`] and [`Cache::contains`]. It reads the
 //! [`Enforcement`] enum directly instead of the plan, and the kernel keeps
 //! its tie-breaks exactly (lowest matching valid way, lowest invalid way),
 //! so outcomes, statistics and contents are bit-identical to it
@@ -80,7 +85,9 @@ pub struct AccessOutcome {
     pub evicted: Option<(LineAddr, u8)>,
 }
 
-/// One element of a batched access stream, 16 bytes packed.
+/// One element of a batched access stream, 16 bytes packed: the unit of
+/// [`Cache::access_batch`]'s slices and of the L1I misses a core's front
+/// end hands to the shared L2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// Byte address.
@@ -113,7 +120,10 @@ impl Access {
 /// Aggregate outcome of one [`Cache::access_batch`] call. The same events
 /// are also folded into the cache's per-core [`CacheStats`], exactly as
 /// [`Cache::access`] would have recorded them; this struct is the cheap
-/// batch-local summary callers use for timing.
+/// batch-local summary callers use for timing. The simulator charges its
+/// L2 accesses one at a time and never builds one; it stays with
+/// `access_batch` for that method's callers (perfbench's staged pass and
+/// the `cache_access/*` bench ids).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Accesses processed (hits + misses).
@@ -213,7 +223,17 @@ impl EnforcePlan {
 }
 
 /// A set-associative cache with pluggable replacement and partition
-/// enforcement.
+/// enforcement: its replacement policy beside the packed planes the
+/// access kernel runs against.
+#[derive(Debug, Clone)]
+pub struct Cache {
+    policy: PolicyState,
+    planes: Planes,
+}
+
+/// Everything of a [`Cache`] besides its replacement policy. The two are
+/// separate fields, so the monomorphized kernels borrow `&mut Planes` and
+/// the policy's `&mut P` at once.
 ///
 /// Tag state lives in flat arrays indexed `set * assoc + way`, valid bits
 /// in one packed word per set; owner-core bits and per-set per-core
@@ -222,9 +242,8 @@ impl EnforcePlan {
 /// enforcement mid-run — as the dynamic CPA controller does — trivially
 /// correct).
 #[derive(Debug, Clone)]
-pub struct Cache {
+struct Planes {
     geom: CacheGeometry,
-    policy: PolicyState,
     num_cores: usize,
     /// Tag of each line; meaningful only where the set's valid bit is set.
     tags: Vec<u64>,
@@ -249,21 +268,23 @@ pub struct Cache {
     stats: CacheStats,
 }
 
-/// Split mutable borrows of everything the access kernel touches besides
-/// the replacement policy, so the monomorphized kernels can run against
-/// `&mut P` and the rest of the cache at once.
-struct Planes<'a> {
-    geom: &'a CacheGeometry,
-    num_cores: usize,
-    tags: &'a mut [u64],
-    sig: &'a mut [u64],
-    sig_stride: usize,
-    valid: &'a mut [u32],
-    owner: &'a mut [u8],
-    owner_count: &'a mut [u8],
-    enforcement: &'a Enforcement,
-    plan: &'a EnforcePlan,
-    stats: &'a mut CacheStats,
+impl Planes {
+    /// The reference row scan: the lowest valid way of `set` whose tag is
+    /// `tag`. A branchless compare over the set's tag row (the compiler
+    /// vectorizes it) builds a match bitmask, qualified with the packed
+    /// valid word. [`Cache::probe`] and [`scan_access`] share it; the
+    /// kernel's SWAR probe must agree with it on every access.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let assoc = self.geom.assoc();
+        let row = &self.tags[set * assoc..(set + 1) * assoc];
+        let mut match_bits = 0u32;
+        for (w, &t) in row.iter().enumerate() {
+            match_bits |= u32::from(t == tag) << w;
+        }
+        match_bits &= self.valid[set];
+        (match_bits != 0).then_some(match_bits.trailing_zeros() as usize)
+    }
 }
 
 /// Shared tail of the kernel's and the reference scan's miss path:
@@ -273,7 +294,7 @@ struct Planes<'a> {
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // hot-path tail; every arg is already in registers
 fn finish_miss<P: ReplKernel>(
-    planes: &mut Planes<'_>,
+    planes: &mut Planes,
     policy: &mut P,
     core: usize,
     set: usize,
@@ -293,7 +314,8 @@ fn finish_miss<P: ReplKernel>(
     }
     planes.owner_count[set * planes.num_cores + core] += 1;
     planes.tags[base + way] = tag;
-    write_sig(planes.sig, planes.sig_stride, set, way, sig_of(tag));
+    let stride = sig_words_per_set(planes.geom.assoc());
+    write_sig(&mut planes.sig, stride, set, way, sig_of(tag));
     planes.valid[set] |= 1 << way;
     planes.owner[base + way] = core as u8;
     policy.touch(set, way, scope);
@@ -314,7 +336,7 @@ fn finish_miss<P: ReplKernel>(
 /// and property-tested to stay that way.
 #[inline(always)]
 fn access_one<P: ReplKernel>(
-    planes: &mut Planes<'_>,
+    planes: &mut Planes,
     policy: &mut P,
     core: usize,
     addr: Addr,
@@ -328,17 +350,15 @@ fn access_one<P: ReplKernel>(
     let base = set * assoc;
     let valid = planes.valid[set];
     let full = WayMask::full(assoc);
-    let plan = planes.plan;
+    let scope = planes.plan.scopes[core];
 
     // SWAR probe: XOR each signature lane word against the broadcast probe
     // signature; zero lanes mark candidate ways. Usually zero (miss) or
     // one (the hit way) bit survives the valid qualification.
-    let sbase = set * planes.sig_stride;
+    let stride = sig_words_per_set(assoc);
     let mut cand = 0u32;
-    for (i, &word) in planes.sig[sbase..sbase + planes.sig_stride]
-        .iter()
-        .enumerate()
-    {
+    let words = &planes.sig[set * stride..(set + 1) * stride];
+    for (i, &word) in words.iter().enumerate() {
         cand |= zero_byte_lanes(word ^ bcast) << (SIG_LANES * i);
     }
     cand &= valid;
@@ -350,7 +370,7 @@ fn access_one<P: ReplKernel>(
     while cand != 0 {
         let way = cand.trailing_zeros() as usize;
         if planes.tags[base + way] == tag {
-            policy.touch(set, way, plan.scopes[core]);
+            policy.touch(set, way, scope);
             planes.stats.record(core, true, write);
             return AccessOutcome {
                 hit: true,
@@ -365,6 +385,7 @@ fn access_one<P: ReplKernel>(
     // Miss: invalid-way fill first, then a policy victim — reading the
     // candidate masks straight from the plan instead of re-matching the
     // enforcement enum.
+    let plan = &planes.plan;
     let (way, evicted) = if plan.counters {
         // Owner-counter candidates only ever cover valid lines, so the
         // invalid-fill probe runs over the whole set (the reference's
@@ -406,23 +427,13 @@ fn access_one<P: ReplKernel>(
         }
     };
 
-    finish_miss(
-        planes,
-        policy,
-        core,
-        set,
-        tag,
-        way,
-        evicted,
-        plan.scopes[core],
-        write,
-    )
+    finish_miss(planes, policy, core, set, tag, way, evicted, scope, write)
 }
 
 /// The monomorphized batch loop: one policy dispatch for the whole
 /// slice, then [`access_one`] per access, folded into `batch`.
 fn run_batch<P: ReplKernel>(
-    planes: &mut Planes<'_>,
+    planes: &mut Planes,
     policy: &mut P,
     accesses: &[Access],
     batch: &mut BatchStats,
@@ -449,7 +460,7 @@ fn run_batch<P: ReplKernel>(
 /// drive it through [`Cache::access_reference`] as the oracle
 /// [`access_one`] must match bit for bit.
 fn scan_access<P: ReplKernel>(
-    planes: &mut Planes<'_>,
+    planes: &mut Planes,
     policy: &mut P,
     core: usize,
     addr: Addr,
@@ -461,21 +472,9 @@ fn scan_access<P: ReplKernel>(
     let base = set * assoc;
     let valid = planes.valid[set];
     let full = WayMask::full(assoc);
-
-    // Branchless tag match over the set's tag row: build a match bitmask
-    // (the compiler vectorizes this compare) and qualify it with the
-    // packed valid word.
-    let row = &planes.tags[base..base + assoc];
-    let mut match_bits = 0u32;
-    for (w, &t) in row.iter().enumerate() {
-        match_bits |= u32::from(t == tag) << w;
-    }
-    match_bits &= valid;
-
     let scope = planes.enforcement.static_mask(core).unwrap_or(full);
 
-    if match_bits != 0 {
-        let way = match_bits.trailing_zeros() as usize;
+    if let Some(way) = planes.find(set, tag) {
         policy.touch(set, way, scope);
         planes.stats.record(core, true, write);
         return AccessOutcome {
@@ -488,7 +487,7 @@ fn scan_access<P: ReplKernel>(
 
     // Miss: pick a fill way — an invalid candidate way first, then a
     // policy victim among the candidates.
-    let candidates = match planes.enforcement {
+    let candidates = match &planes.enforcement {
         Enforcement::None => full,
         Enforcement::Masks(masks) => masks[core],
         Enforcement::OwnerCounters { quotas } => {
@@ -541,83 +540,49 @@ fn scan_access<P: ReplKernel>(
 impl Cache {
     /// Build an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
+        let geom = cfg.geometry;
         cfg.policy
-            .validate_assoc(cfg.geometry.assoc())
+            .validate_assoc(geom.assoc())
             .expect("invalid policy/associativity");
         // Core IDs ride in u8 planes (`Access::core`, the per-line owner
         // plane), so 256 tenants is the hard ceiling.
         assert!(cfg.num_cores >= 1 && cfg.num_cores <= 256);
-        let lines = cfg.geometry.num_sets() * cfg.geometry.assoc();
+        let lines = geom.num_sets() * geom.assoc();
         Cache {
-            geom: cfg.geometry,
-            policy: PolicyState::new(
-                cfg.policy,
-                cfg.geometry.num_sets(),
-                cfg.geometry.assoc(),
-                cfg.seed,
-            ),
-            num_cores: cfg.num_cores,
-            tags: vec![0; lines],
-            // sig_of(0) == 0, so the cold plane matches the cold tag rows.
-            sig: vec![0; cfg.geometry.num_sets() * sig_words_per_set(cfg.geometry.assoc())],
-            valid: vec![0; cfg.geometry.num_sets()],
-            owner: vec![0; lines],
-            owner_count: vec![0; cfg.geometry.num_sets() * cfg.num_cores],
-            enforcement: Enforcement::None,
-            plan: EnforcePlan::new(&Enforcement::None, cfg.geometry.assoc(), cfg.num_cores),
-            stats: CacheStats::new(cfg.num_cores),
-        }
-    }
-
-    /// Split the cache into its policy and the remaining packed planes.
-    fn split(&mut self) -> (&mut PolicyState, Planes<'_>) {
-        let Cache {
-            geom,
-            policy,
-            num_cores,
-            tags,
-            sig,
-            valid,
-            owner,
-            owner_count,
-            enforcement,
-            plan,
-            stats,
-        } = self;
-        (
-            policy,
-            Planes {
+            policy: PolicyState::new(cfg.policy, geom.num_sets(), geom.assoc(), cfg.seed),
+            planes: Planes {
                 geom,
-                num_cores: *num_cores,
-                tags,
-                sig,
-                sig_stride: sig_words_per_set(geom.assoc()),
-                valid,
-                owner,
-                owner_count,
-                enforcement,
-                plan,
-                stats,
+                num_cores: cfg.num_cores,
+                tags: vec![0; lines],
+                // sig_of(0) == 0, so the cold plane matches the cold tag rows.
+                sig: vec![0; geom.num_sets() * sig_words_per_set(geom.assoc())],
+                valid: vec![0; geom.num_sets()],
+                owner: vec![0; lines],
+                owner_count: vec![0; geom.num_sets() * cfg.num_cores],
+                enforcement: Enforcement::None,
+                plan: EnforcePlan::new(&Enforcement::None, geom.assoc(), cfg.num_cores),
+                stats: CacheStats::new(cfg.num_cores),
             },
-        )
+        }
     }
 
     /// The cache's geometry.
     pub fn geometry(&self) -> &CacheGeometry {
-        &self.geom
+        &self.planes.geom
     }
 
     /// Number of cores sharing this cache.
     pub fn num_cores(&self) -> usize {
-        self.num_cores
+        self.planes.num_cores
     }
 
     /// Install a new enforcement configuration (validated), pre-resolving
     /// it into the access kernel's `EnforcePlan`.
     pub fn try_set_enforcement(&mut self, e: Enforcement) -> Result<(), CacheError> {
-        e.validate(self.geom.assoc(), self.num_cores)?;
-        self.plan = EnforcePlan::new(&e, self.geom.assoc(), self.num_cores);
-        self.enforcement = e;
+        let planes = &mut self.planes;
+        e.validate(planes.geom.assoc(), planes.num_cores)?;
+        planes.plan = EnforcePlan::new(&e, planes.geom.assoc(), planes.num_cores);
+        planes.enforcement = e;
         Ok(())
     }
 
@@ -628,27 +593,27 @@ impl Cache {
 
     /// The active enforcement.
     pub fn enforcement(&self) -> &Enforcement {
-        &self.enforcement
+        &self.planes.enforcement
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        &self.planes.stats
     }
 
     /// Reset all content, replacement state and statistics.
     pub fn reset(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = 0);
-        self.owner_count.iter_mut().for_each(|c| *c = 0);
+        self.planes.valid.fill(0);
+        self.planes.owner_count.fill(0);
         self.policy.reset();
-        self.stats.reset();
+        self.planes.stats.reset();
     }
 
     /// Non-mutating lookup: where is `addr` cached, if anywhere?
     pub fn probe(&self, addr: Addr) -> Option<(usize, usize)> {
-        let set = self.geom.set_index(addr);
-        let tag = self.geom.tag(addr);
-        self.find(set, tag).map(|way| (set, way))
+        let set = self.planes.geom.set_index(addr);
+        let way = self.planes.find(set, self.planes.geom.tag(addr))?;
+        Some((set, way))
     }
 
     /// Does the cache hold `addr`?
@@ -658,40 +623,26 @@ impl Cache {
 
     /// Number of valid lines owned by `core` in `set`.
     pub fn owned_in_set(&self, set: usize, core: usize) -> usize {
-        self.owner_count[set * self.num_cores + core] as usize
-    }
-
-    #[inline]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.geom.assoc();
-        let row = &self.tags[base..base + self.geom.assoc()];
-        let mut match_bits = 0u32;
-        for (w, &t) in row.iter().enumerate() {
-            match_bits |= u32::from(t == tag) << w;
-        }
-        match_bits &= self.valid[set];
-        if match_bits != 0 {
-            Some(match_bits.trailing_zeros() as usize)
-        } else {
-            None
-        }
+        usize::from(self.planes.owner_count[set * self.planes.num_cores + core])
     }
 
     /// Access `addr` from `core`. Updates replacement state, ownership and
     /// statistics; on a miss, fills the line (evicting if needed).
     ///
-    /// One policy dispatch, then the signature-plane kernel that
-    /// [`Cache::access_batch`] runs per access. This is how the simulator
-    /// reaches the shared L2 most of the time: every L1D miss comes
-    /// through here.
+    /// One policy dispatch, then the signature-plane kernel. This is how
+    /// the simulator reaches the shared L2: `System::run` charges every
+    /// L1 miss of a step through here, the fetch lines first and then the
+    /// data miss. `#[inline]` because that caller is in another crate and
+    /// the release profile has no LTO.
+    #[inline]
     pub fn access(&mut self, core: usize, addr: Addr, write: bool) -> AccessOutcome {
-        let (policy, mut planes) = self.split();
-        match policy {
-            PolicyState::Lru(p) => access_one(&mut planes, p, core, addr, write),
-            PolicyState::Nru(p) => access_one(&mut planes, p, core, addr, write),
-            PolicyState::Bt(p) => access_one(&mut planes, p, core, addr, write),
-            PolicyState::Random(p) => access_one(&mut planes, p, core, addr, write),
-            PolicyState::Fifo(p) => access_one(&mut planes, p, core, addr, write),
+        let planes = &mut self.planes;
+        match &mut self.policy {
+            PolicyState::Lru(p) => access_one(planes, p, core, addr, write),
+            PolicyState::Nru(p) => access_one(planes, p, core, addr, write),
+            PolicyState::Bt(p) => access_one(planes, p, core, addr, write),
+            PolicyState::Random(p) => access_one(planes, p, core, addr, write),
+            PolicyState::Fifo(p) => access_one(planes, p, core, addr, write),
         }
     }
 
@@ -701,13 +652,13 @@ impl Cache {
     /// nothing in the simulator does.
     #[doc(hidden)]
     pub fn access_reference(&mut self, core: usize, addr: Addr, write: bool) -> AccessOutcome {
-        let (policy, mut planes) = self.split();
-        match policy {
-            PolicyState::Lru(p) => scan_access(&mut planes, p, core, addr, write),
-            PolicyState::Nru(p) => scan_access(&mut planes, p, core, addr, write),
-            PolicyState::Bt(p) => scan_access(&mut planes, p, core, addr, write),
-            PolicyState::Random(p) => scan_access(&mut planes, p, core, addr, write),
-            PolicyState::Fifo(p) => scan_access(&mut planes, p, core, addr, write),
+        let planes = &mut self.planes;
+        match &mut self.policy {
+            PolicyState::Lru(p) => scan_access(planes, p, core, addr, write),
+            PolicyState::Nru(p) => scan_access(planes, p, core, addr, write),
+            PolicyState::Bt(p) => scan_access(planes, p, core, addr, write),
+            PolicyState::Random(p) => scan_access(planes, p, core, addr, write),
+            PolicyState::Fifo(p) => scan_access(planes, p, core, addr, write),
         }
     }
 
@@ -716,9 +667,12 @@ impl Cache {
     ///
     /// The policy dispatch happens once per call instead of once per
     /// access; per-core [`CacheStats`] end up bit-identical to calling
-    /// [`Cache::access`] in a loop over the same slice. The simulator
-    /// hands the shared L2 each record's L1I misses this way, which is
-    /// one line almost every time.
+    /// [`Cache::access`] in a loop over the same slice. The simulator does
+    /// not call it. It stays for two callers outside the simulator:
+    /// perfbench's staged pass, through
+    /// [`Hierarchy::access_inst_batch`](crate::hierarchy::Hierarchy::access_inst_batch),
+    /// and the `cache_access/*` ids of the `policies` bench, which the
+    /// BENCH_0–2 baselines gate.
     ///
     /// ```
     /// use cachesim::{Access, BatchStats, Cache, CacheConfig, CacheGeometry, PolicyKind};
@@ -740,13 +694,13 @@ impl Cache {
     /// assert_eq!(l2.stats().core(0).accesses, 128);
     /// ```
     pub fn access_batch(&mut self, accesses: &[Access], batch: &mut BatchStats) {
-        let (policy, mut planes) = self.split();
-        match policy {
-            PolicyState::Lru(p) => run_batch(&mut planes, p, accesses, batch),
-            PolicyState::Nru(p) => run_batch(&mut planes, p, accesses, batch),
-            PolicyState::Bt(p) => run_batch(&mut planes, p, accesses, batch),
-            PolicyState::Random(p) => run_batch(&mut planes, p, accesses, batch),
-            PolicyState::Fifo(p) => run_batch(&mut planes, p, accesses, batch),
+        let planes = &mut self.planes;
+        match &mut self.policy {
+            PolicyState::Lru(p) => run_batch(planes, p, accesses, batch),
+            PolicyState::Nru(p) => run_batch(planes, p, accesses, batch),
+            PolicyState::Bt(p) => run_batch(planes, p, accesses, batch),
+            PolicyState::Random(p) => run_batch(planes, p, accesses, batch),
+            PolicyState::Fifo(p) => run_batch(planes, p, accesses, batch),
         }
     }
 }

@@ -231,19 +231,8 @@ impl Hierarchy {
 
     /// Data access from `core`.
     pub fn access_data(&mut self, core: usize, addr: Addr, write: bool) -> HierarchyOutcome {
-        if self.l1[core].data(addr, write) {
-            return HierarchyOutcome {
-                level: MemLevel::L1,
-            };
-        }
-        let l2_out = self.l2.access(core, addr, write);
-        HierarchyOutcome {
-            level: if l2_out.hit {
-                MemLevel::L2
-            } else {
-                MemLevel::Memory
-            },
-        }
+        let l1_hit = self.l1[core].data(addr, write);
+        self.after_l1(l1_hit, core, addr, write)
     }
 
     /// Batched instruction fetch from `core`: all `addrs` run through the
@@ -256,6 +245,10 @@ impl Hierarchy {
     /// disjoint structures, so regrouping the L2 accesses after the L1
     /// pass cannot change any outcome. After the call,
     /// [`BatchScratch::l2_accesses`] holds the L2-visible stream.
+    ///
+    /// `System::run` charges L1 misses one at a time and does not call
+    /// this. It stays because perfbench's staged pass times the hierarchy
+    /// through it.
     pub fn access_inst_batch(
         &mut self,
         core: usize,
@@ -275,19 +268,22 @@ impl Hierarchy {
 
     /// Instruction fetch from `core`.
     pub fn access_inst(&mut self, core: usize, addr: Addr) -> HierarchyOutcome {
-        if self.l1[core].icache.access(addr, false) {
-            return HierarchyOutcome {
-                level: MemLevel::L1,
-            };
-        }
-        let l2_out = self.l2.access(core, addr, false);
-        HierarchyOutcome {
-            level: if l2_out.hit {
-                MemLevel::L2
-            } else {
-                MemLevel::Memory
-            },
-        }
+        let l1_hit = self.l1[core].icache.access(addr, false);
+        self.after_l1(l1_hit, core, addr, false)
+    }
+
+    /// The level that serviced an access the L1 answered with `l1_hit`:
+    /// the L1 on a hit, else the shared L2 if `core`'s access hits there,
+    /// else memory.
+    fn after_l1(&mut self, l1_hit: bool, core: usize, addr: Addr, write: bool) -> HierarchyOutcome {
+        let level = if l1_hit {
+            MemLevel::L1
+        } else if self.l2.access(core, addr, write).hit {
+            MemLevel::L2
+        } else {
+            MemLevel::Memory
+        };
+        HierarchyOutcome { level }
     }
 
     /// Reset all caches (content + stats).

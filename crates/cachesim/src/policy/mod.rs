@@ -146,10 +146,13 @@ impl PolicyState {
 /// [`Cache::access`](crate::Cache::access) and
 /// [`Cache::access_batch`](crate::Cache::access_batch) dispatch on
 /// [`PolicyState`] **once per call** and then run the monomorphized
-/// per-access kernel against one of these implementations, so inside the
+/// per-access kernel against one of these implementations and the
+/// cache's planes, which the cache owns beside its policy, so inside the
 /// kernel a policy update is a direct inlined call instead of an enum
 /// match. Both entry points run the same kernel, which is what makes the
-/// batched path bit-identical to single accesses by construction.
+/// batched path bit-identical to single accesses by construction. The
+/// simulator calls only `Cache::access`, once per L1 miss; the batch
+/// entry point serves perfbench's staged pass and the kernel benches.
 pub(crate) trait ReplKernel {
     /// Record an access (hit or fill) to `way` of `set` under `scope`
     /// (only NRU's saturation rule consults the scope).

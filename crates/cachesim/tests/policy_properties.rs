@@ -248,7 +248,10 @@ fn enforcement_for(choice: usize, policy: PolicyKind) -> Enforcement {
 /// and signature planes behind (a no-op for an empty `warm`).
 ///
 /// Every single-access outcome (hit, set, way, evicted line and owner)
-/// must equal the reference's; all three caches must end with identical
+/// must equal the reference's, and [`Cache::probe`] just before each
+/// single access must find the line exactly where the kernel then hits
+/// (the tie from the reference row scan behind `probe` to the kernel's
+/// SWAR hit decision); all three caches must end with identical
 /// statistics and contents, and the batch summary must agree with the
 /// reference's event counts.
 fn assert_kernel_matches_reference(
@@ -273,7 +276,15 @@ fn assert_kernel_matches_reference(
     for (i, a) in stream.iter().enumerate() {
         let core = usize::from(a.core);
         let want = reference.access_reference(core, a.addr, a.write);
+        let found = single.probe(a.addr);
         let got = single.access(core, a.addr, a.write);
+        prop_assert_eq!(
+            found,
+            got.hit.then_some((got.set, got.way)),
+            "probe of {:#x} before access {} disagrees with the kernel",
+            a.addr,
+            i
+        );
         prop_assert_eq!(got, want, "access {} to {:#x} diverged", i, a.addr);
         ref_hits += u64::from(want.hit);
         ref_evictions += u64::from(want.evicted.is_some());

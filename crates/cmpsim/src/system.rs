@@ -8,7 +8,7 @@
 use crate::config::MachineConfig;
 use crate::core_model::CoreModel;
 use crate::front::{Front, Step};
-use cachesim::{BatchStats, Cache, CacheConfig, CacheStats};
+use cachesim::{Cache, CacheConfig, CacheStats};
 use plru_core::{CpaController, Scheme};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -289,21 +289,11 @@ impl System {
             core.front.next_step(step);
             let mut latency = core.charge_base(step.insts);
 
-            // The fetch lines that missed the L1I run through the L2 as
-            // one batch; the ATDs observe them in stream order.
-            if !step.fetch.is_empty() {
-                let mut l2 = BatchStats::default();
-                self.l2.access_batch(&step.fetch, &mut l2);
-                latency += step.fetch.len() as u64 * lat.l1_miss + l2.misses * lat.l2_miss;
-                if let Some(ctl) = &mut self.controller {
-                    for a in &step.fetch {
-                        ctl.observe(c, a.addr);
-                    }
-                }
-            }
-
-            // The data access, if it missed the L1D.
-            if let Some((addr, write)) = step.data {
+            // The step's L1 misses reach the L2 in stream order: the fetch
+            // lines that missed the L1I, then the data access if it missed
+            // the L1D. The ATDs observe each one.
+            let fetch = step.fetch.iter().map(|a| (a.addr, a.write));
+            for (addr, write) in fetch.chain(step.data) {
                 latency += lat.l1_miss;
                 if !self.l2.access(c, addr, write).hit {
                     latency += lat.l2_miss;

@@ -235,11 +235,6 @@ impl Scheme {
         self.cpa.as_ref()
     }
 
-    /// Does the scheme run the dynamic partitioning controller?
-    pub fn is_partitioned(&self) -> bool {
-        self.cpa.is_some()
-    }
-
     /// The canonical acronym (`"L"`, `"M-0.75N"`, ...); same as `Display`.
     pub fn acronym(&self) -> String {
         self.to_string()
@@ -452,7 +447,6 @@ mod tests {
     fn paper_schemes_parse_and_round_trip() {
         for acr in ["C-L", "M-L", "M-1.0N", "M-0.75N", "M-0.5N", "M-BT"] {
             let s: Scheme = acr.parse().unwrap();
-            assert!(s.is_partitioned());
             assert_eq!(s.to_string(), acr);
         }
     }

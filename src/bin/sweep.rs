@@ -29,6 +29,7 @@
 
 use plru_core::scheme;
 use plru_repro::prelude::*;
+use plru_repro::scenario::pool::MAX_POOL_WORKERS;
 use plru_repro::service;
 use serde::Deserialize;
 use std::path::{Path, PathBuf};
@@ -74,7 +75,8 @@ fn usage() -> ! {
          \n\
          <spec.json>     scenario spec (see scenarios/ and docs/SCENARIOS.md\n\
          \u{20}               for the schema, including recorded workloads)\n\
-         --threads N     worker count (default: all hardware threads)\n\
+         --threads N     worker count, at most {MAX_POOL_WORKERS} (default: all\n\
+         \u{20}               hardware threads, up to the cap)\n\
          --json PATH     also write the full report as pretty JSON\n\
          --remote SOCKET run the spec as a job on the sweepd daemon at\n\
          \u{20}               SOCKET (byte-identical output, warm memo) —\n\
@@ -333,6 +335,11 @@ fn run_remote(socket: &Path, args: &Args) {
 
 fn main() {
     let args = parse_args();
+    if let Some(n) = args.threads.filter(|&n| n > MAX_POOL_WORKERS) {
+        fail(format!(
+            "{n} worker threads requested (cap {MAX_POOL_WORKERS})"
+        ));
+    }
     if let Some(socket) = args.remote.clone() {
         run_remote(&socket, &args);
         return;

@@ -15,7 +15,7 @@
 
 use crate::engine::IsolationCache;
 use crate::scenario::expand::ScenarioError;
-use crate::scenario::pool::WorkerPool;
+use crate::scenario::pool::{WorkerPool, MAX_POOL_WORKERS};
 use crate::scenario::report::{CaseReport, MissCurve, MissCurveReport, SweepReport};
 use crate::scenario::spec::{MissCurveSpec, ScenarioSpec};
 use crate::scenario::ScenarioCase;
@@ -53,11 +53,11 @@ impl Default for SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner sized to the hardware (one worker per available thread).
+    /// A runner sized to the hardware (one worker per available thread,
+    /// at most [`MAX_POOL_WORKERS`]).
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+        let threads =
+            std::thread::available_parallelism().map_or(4, |n| n.get().min(MAX_POOL_WORKERS));
         Self::with_threads(threads)
     }
 

@@ -34,18 +34,6 @@ pub enum WorkloadSel {
     Recorded(String),
 }
 
-impl WorkloadSel {
-    /// The display name expansion gives the selection (`"2T_05"`,
-    /// `"galgel+eon"`, or the recorded file's own workload name).
-    pub fn display_name(&self) -> String {
-        match self {
-            WorkloadSel::Named(n) => n.clone(),
-            WorkloadSel::Profiles(bs) => bs.join("+"),
-            WorkloadSel::Recorded(path) => format!("rec:{path}"),
-        }
-    }
-}
-
 /// The scheme axis of a spec: an explicit list of scheme acronyms, or the
 /// `"all"` shorthand expanding to every registered baseline scheme
 /// ([`Scheme::all_baseline`](plru_core::Scheme::all_baseline) — each
@@ -66,11 +54,6 @@ impl SchemeAxis {
             SchemeAxis::All => None,
             SchemeAxis::List(xs) => Some(xs),
         }
-    }
-
-    /// Is this the `"all"` shorthand?
-    pub fn is_all(&self) -> bool {
-        matches!(self, SchemeAxis::All)
     }
 
     /// The acronym strings the axis stands for: the list itself, or every
@@ -309,9 +292,6 @@ mod tests {
             let json = serde_json::to_string(sel).unwrap();
             assert_eq!(&serde_json::from_str::<WorkloadSel>(&json).unwrap(), sel);
         }
-        assert_eq!(named.display_name(), "2T_05");
-        assert_eq!(mix.display_name(), "galgel+eon");
-        assert_eq!(rec.display_name(), "rec:scenarios/traces/x.pltc");
     }
 
     #[test]
@@ -369,7 +349,6 @@ mod tests {
         let spec =
             ScenarioSpec::from_json(r#"{"name": "a", "workloads": ["2T_01"], "schemes": "all"}"#)
                 .unwrap();
-        assert!(spec.schemes.is_all());
         assert!(spec.schemes.as_list().is_none());
         assert!(
             spec.schemes.entries().len() > 6,

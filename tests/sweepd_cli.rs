@@ -261,3 +261,22 @@ fn threads_above_the_cap_fail_before_any_worker_starts() {
     assert!(!socket.exists(), "a refused daemon binds no socket");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sweep_threads_above_the_cap_fail_before_any_worker_starts() {
+    let threads = plru_repro::scenario::pool::MAX_POOL_WORKERS + 1;
+    let out = sweep_bin()
+        .args(["scenarios/smoke_2t.json", "--threads", &threads.to_string()])
+        .output()
+        .unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(
+        err,
+        format!(
+            "sweep: {threads} worker threads requested (cap {})\n",
+            threads - 1
+        )
+    );
+    assert!(stdout(&out).is_empty(), "a refused sweep prints no table");
+}
