@@ -207,12 +207,11 @@ impl System {
     /// decodes them ahead of consumption on a shared pool. The replayed
     /// streams are identical at any worker count.
     ///
-    /// Errors if the file is unreadable or malformed, if its thread count
-    /// differs from `cfg.num_cores`, or if a recorded benchmark name no
-    /// longer resolves. The caller is responsible for checking that the
-    /// replay's instruction target does not exceed the recorded one
-    /// ([`tracegen::trace::TraceMeta::insts`]) — an exhausted stream
-    /// panics mid-run.
+    /// Errors if the file is unreadable or malformed, or if
+    /// [`TraceInfo::admit`](tracegen::trace::TraceInfo::admit) refuses
+    /// the replay on `cfg`: a thread count other than `cfg.num_cores`, an
+    /// instruction target of 0 or above the capture's, or a benchmark
+    /// name that no longer resolves.
     pub fn from_trace_scheme(
         cfg: &MachineConfig,
         path: impl AsRef<Path>,
@@ -220,29 +219,8 @@ impl System {
         seed_salt: u64,
         decode: &trace::DecodeOptions,
     ) -> Result<Self, TraceError> {
-        let path = path.as_ref();
         let (info, sources) = trace::open_sources_with(path, decode)?;
-        if info.meta.threads() != cfg.num_cores {
-            return Err(TraceError::Format(format!(
-                "trace {} records {} threads, but the machine has {} cores",
-                path.display(),
-                info.meta.threads(),
-                cfg.num_cores
-            )));
-        }
-        let profiles: Vec<BenchmarkProfile> = info
-            .meta
-            .benchmarks
-            .iter()
-            .map(|b| {
-                tracegen::benchmark(b).ok_or_else(|| {
-                    TraceError::Format(format!(
-                        "trace {} names unknown benchmark `{b}`",
-                        path.display()
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        let profiles = info.admit(cfg.num_cores, cfg.insts_target)?;
         Ok(Self::from_sources_scheme(
             cfg, &profiles, sources, scheme, seed_salt,
         ))

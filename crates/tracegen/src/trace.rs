@@ -49,13 +49,16 @@
 //! walk, which also tallies per-codec chunk counts and the compression
 //! ratio for `trace info`.
 //!
+//! [`TraceInfo::admit`] is the one admission rule of a replay: the
+//! machine's core count, an instruction target within the capture's and
+//! benchmark names that still resolve.
+//!
 //! [`TraceReader`] is the one reader of a thread's records: it walks the
 //! chunks in file order, seeks over other threads' payloads and stops at
 //! the thread's record count. [`RecordedThread`] wraps one on its own file
 //! handle as the [`TraceSource`] the simulator plugs in where a live
-//! [`TraceGenerator`] would go — strict for capture-mode traces, cyclic
-//! (rewinding the open handle) for generator-streamed ones; see its docs
-//! for the exhaustion semantics.
+//! [`TraceGenerator`] would go; a recorded stream that runs dry stops the
+//! replay (see its docs).
 //!
 //! Because chunks are length-prefixed and self-contained, decoding can
 //! run ahead of consumption: [`open_sources_with`] a non-zero
@@ -72,7 +75,7 @@
 
 use crate::dict;
 use crate::record::{MemRecord, MAX_GAP};
-use crate::TraceGenerator;
+use crate::{BenchmarkProfile, TraceGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -177,11 +180,10 @@ impl From<io::Error> for TraceError {
 /// Implemented by the live [`TraceGenerator`] and by the recorded-file
 /// [`RecordedThread`], so every simulation can run from either; the
 /// simulator treats sources as infinite streams (the paper keeps finished
-/// threads running so contention stays realistic). Recorded sources stay
-/// total either by cycling (generator-streamed traces) or by the caller
-/// guarding the replay target against [`TraceMeta::insts`] up front
-/// (capture-mode traces, which panic rather than silently break their
-/// bit-fidelity claim).
+/// threads running so contention stays realistic). A recorded source is
+/// finite: [`TraceInfo::admit`] refuses a replay above the capture's
+/// target, and a stream that still runs dry panics (there is no error
+/// channel here) rather than silently break its bit-fidelity claim.
 pub trait TraceSource: Send + fmt::Debug {
     /// Produce the next memory-access record.
     fn next_record(&mut self) -> MemRecord;
@@ -201,23 +203,23 @@ pub struct TraceMeta {
     /// Workload display name (`"2T_06"`, `"gzip+eon"`).
     pub workload: String,
     /// Benchmark names, one per thread — replay resolves these to
-    /// [`BenchmarkProfile`](crate::BenchmarkProfile)s for the timing model
-    /// (base CPI, code footprint); only the memory-access stream comes
-    /// from the file.
+    /// [`BenchmarkProfile`]s for the timing model (base CPI, code
+    /// footprint); only the memory-access stream comes from the file.
     pub benchmarks: Vec<String>,
     /// Base RNG seed of the capture run.
     pub seed: u64,
     /// Seed salt of the capture run.
     pub seed_salt: u64,
-    /// Committed-instruction target the capture simulation ran to, or 0
-    /// for generator-streamed traces with no simulation behind them.
-    /// Replays at any target ≤ a non-zero value are guaranteed not to
-    /// exhaust the recorded streams; a zero value means the streams make
-    /// no sufficiency claim and replay **cyclically** instead (see
+    /// Committed-instruction target the capture simulation ran to.
+    /// [`TraceInfo::admit`] admits replays to targets from 1 up to it, so
+    /// a 0 admits none. Only replays under the capture's own
+    /// [`TraceMeta::scheme`] are guaranteed not to exhaust the recorded
+    /// streams at a target up to it: other schemes consume differently
+    /// per thread and can run a stream dry, which stops the replay (see
     /// [`RecordedThread`]).
     pub insts: u64,
-    /// Scheme acronym of the capture run (`"L"`, `"M-0.75N"`, ...), if it
-    /// was captured from a simulation.
+    /// Scheme acronym of the capture run (`"L"`, `"M-0.75N"`, ...), if
+    /// the writer recorded one.
     pub scheme: Option<String>,
 }
 
@@ -244,6 +246,39 @@ impl TraceInfo {
     /// Total records across all threads.
     pub fn total_records(&self) -> u64 {
         self.records.iter().sum()
+    }
+
+    /// Admit a replay of this container on `cores` cores to `insts`
+    /// committed instructions per thread, returning the benchmark
+    /// profiles of its threads for the timing model.
+    ///
+    /// Refuses a thread count other than `cores`, a target of 0 or above
+    /// the capture's [`TraceMeta::insts`] (so a header with `insts` 0
+    /// admits no replay), and a benchmark name that no longer resolves.
+    /// This checks the header only; [`validate_path`] checks the chunks.
+    pub fn admit(&self, cores: usize, insts: u64) -> Result<Vec<BenchmarkProfile>, TraceError> {
+        let meta = &self.meta;
+        if meta.threads() != cores {
+            return Err(TraceError::format(format!(
+                "the trace records {} threads, but the machine has {cores} cores",
+                meta.threads()
+            )));
+        }
+        if insts == 0 || insts > meta.insts {
+            return Err(TraceError::format(format!(
+                "captured to {} instructions per thread, but the replay targets {insts}; \
+                 a target must be positive and at most the capture's",
+                meta.insts
+            )));
+        }
+        meta.benchmarks
+            .iter()
+            .map(|b| {
+                crate::benchmark(b).ok_or_else(|| {
+                    TraceError::format(format!("the trace names unknown benchmark `{b}`"))
+                })
+            })
+            .collect()
     }
 }
 
@@ -712,8 +747,7 @@ fn decode_chunk(payload: &[u8], records: u32, out: &mut Vec<MemRecord>) -> Resul
 /// though chunks of other threads may follow. Decoding state is bounded
 /// by one chunk inline, and by `workers + 2` chunks in flight on a pool;
 /// results come back in submission order, so the record stream is the
-/// same either way. [`TraceReader::rewind`] restarts the stream on the
-/// open handle.
+/// same either way.
 #[derive(Debug)]
 pub struct TraceReader<R> {
     r: R,
@@ -721,8 +755,6 @@ pub struct TraceReader<R> {
     info: TraceInfo,
     /// The thread's record count, from the header.
     total: u64,
-    /// Offset of the first chunk.
-    start: u64,
     delivered: u64,
     /// Records in the chunks read off `r` so far.
     fetched: u64,
@@ -756,7 +788,6 @@ impl<R: Read + Seek> TraceReader<R> {
             )));
         };
         Ok(TraceReader {
-            start: r.stream_position()?,
             r,
             thread,
             info,
@@ -777,7 +808,7 @@ impl<R: Read + Seek> TraceReader<R> {
         &self.info
     }
 
-    /// Records already delivered since the start (or the last rewind).
+    /// Records already delivered.
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
@@ -796,17 +827,6 @@ impl<R: Read + Seek> TraceReader<R> {
             }
             self.next_chunk()?;
         }
-    }
-
-    /// Seek the handle back to the first chunk, so the stream starts over.
-    pub fn rewind(&mut self) -> Result<(), TraceError> {
-        self.r.seek(SeekFrom::Start(self.start))?;
-        self.delivered = 0;
-        self.fetched = 0;
-        self.chunk.clear();
-        self.chunk_pos = 0;
-        self.in_flight.clear();
-        Ok(())
     }
 
     /// Make this thread's next decoded chunk current.
@@ -1047,7 +1067,7 @@ fn decode_worker(queue: &Mutex<mpsc::Receiver<DecodeTask>>) {
     while let Some(task) = queue.lock().ok().and_then(|tasks| tasks.recv().ok()) {
         let mut records = Vec::with_capacity((task.header.records as usize).min(CHUNK_RECORDS));
         let decoded = decode_payload(&task.header, &task.payload, &mut raw, &mut records);
-        // A hung-up reply means the reader rewound or went away first.
+        // A hung-up reply means the reader went away first.
         let _ = task.reply.send(decoded.map(|()| records));
     }
 }
@@ -1057,37 +1077,30 @@ fn decode_worker(queue: &Mutex<mpsc::Receiver<DecodeTask>>) {
 /// Owns a [`TraceReader`] on its own handle of the container (threads
 /// replay concurrently without sharing reader state).
 ///
-/// **Exhaustion semantics** follow what the header claims:
+/// A stream that runs dry stops the replay: the source panics with a
+/// message naming the file, the thread and the records it delivered.
+/// [`TraceInfo::admit`] refuses targets above the capture's up front, so
+/// on a container that a capture run wrote this happens only under a
+/// scheme other than the capture's, whose threads consume more records
+/// by that target. The `trace` and `sweep` binaries report it as one
+/// line.
 ///
-/// * capture-mode traces (`meta.insts != 0`) guarantee sufficiency only
-///   up to the recorded instruction target, so running dry means the
-///   bit-fidelity contract is already broken — the source panics with a
-///   diagnostic naming the file and thread (callers guard up front by
-///   comparing the replay target with [`TraceMeta::insts`]);
-/// * generator-streamed traces (`meta.insts == 0`) make no sufficiency
-///   claim and replay **cyclically**: at the end of the recorded stream
-///   the reader seeks back to the first chunk, mirroring the live
-///   generator's cyclic phase schedule, so replay is total at any
-///   instruction target. [`RecordedThread::wraps`] counts the rewinds.
-///
-/// Corruption found mid-replay panics either way, with a message naming
-/// the file and thread; that includes a record whose gap exceeds
+/// Corruption found mid-replay panics too, with a message naming the
+/// file and thread; that includes a record whose gap exceeds
 /// [`MAX_GAP`], which [`validate_path`] rejects up front. Run
 /// [`validate_path`] first to turn any of these into a readable error.
 #[derive(Debug)]
 pub struct RecordedThread {
     reader: TraceReader<BufReader<File>>,
     path: PathBuf,
-    wraps: u64,
 }
 
 impl RecordedThread {
     /// Open `thread`'s stream of the container at `path`, decoding
     /// chunks inline as records are pulled.
     ///
-    /// Errors if the thread has zero records: a cyclic replay would have
-    /// nothing to cycle through (and would otherwise rewind forever), a
-    /// strict one nothing to deliver.
+    /// Errors if the thread has zero records: its replay would have
+    /// nothing to deliver.
     pub fn open(path: impl AsRef<Path>, thread: usize) -> Result<Self, TraceError> {
         Self::open_with(path, thread, None)
     }
@@ -1102,17 +1115,11 @@ impl RecordedThread {
         let path = path.as_ref().to_path_buf();
         let reader = TraceReader::with_pool(BufReader::new(File::open(&path)?), thread, pool)?;
         if reader.total == 0 {
-            let cyclic = reader.info.meta.insts == 0;
             return Err(TraceError::format(format!(
-                "thread {thread} of the recorded trace has no records{}",
-                if cyclic { " to cycle through" } else { "" }
+                "thread {thread} of the recorded trace has no records"
             )));
         }
-        Ok(RecordedThread {
-            reader,
-            path,
-            wraps: 0,
-        })
+        Ok(RecordedThread { reader, path })
     }
 
     /// The container header.
@@ -1120,27 +1127,12 @@ impl RecordedThread {
         self.reader.info()
     }
 
-    /// How many times a cyclic (generator-streamed) replay has wrapped
-    /// back to the start of its stream.
-    pub fn wraps(&self) -> u64 {
-        self.wraps
-    }
-
     /// [`TraceSource::next_record`] for every step but an in-cap record:
-    /// a cyclic rewind, or a panic naming the file (`next_record` has no
-    /// error channel).
+    /// a panic naming the file (`next_record` has no error channel).
     #[cold]
-    fn next_record_slow(&mut self, step: Result<Option<MemRecord>, TraceError>) -> MemRecord {
-        let step = match step {
-            Ok(None) if self.reader.info.meta.insts == 0 => {
-                self.wraps += 1;
-                self.reader.rewind().and_then(|()| self.reader.try_next())
-            }
-            step => step,
-        };
+    fn next_record_slow(&self, step: Result<Option<MemRecord>, TraceError>) -> ! {
         let thread = self.reader.thread;
         match step {
-            Ok(Some(rec)) if rec.gap <= MAX_GAP => rec,
             // repolint: allow(panic) — corruption found mid-replay; no Result channel in TraceSource
             Ok(Some(rec)) => panic!(
                 "recorded trace {} thread {thread} record {} has a gap of {} instructions, \
@@ -1149,7 +1141,7 @@ impl RecordedThread {
                 self.reader.delivered - 1,
                 rec.gap
             ),
-            // repolint: allow(panic) — exhaustion is pre-checked against the engine's instruction target; no Result channel in TraceSource
+            // repolint: allow(panic) — a stream run dry stops the replay; no Result channel in TraceSource
             Ok(None) => panic!(
                 "recorded trace {} exhausted for thread {thread} after {} records; \
                  re-record with a larger --insts than the replay needs",
@@ -1351,12 +1343,32 @@ mod tests {
         }
         assert!(r.try_next().unwrap().is_none());
         assert!(r.try_next().unwrap().is_none(), "None is sticky");
-        r.rewind().unwrap();
-        assert_eq!(r.delivered(), 0);
-        assert!(
-            r.try_next().unwrap().is_some(),
-            "rewind restarts the stream"
-        );
+        assert_eq!(r.delivered(), 3);
+    }
+
+    #[test]
+    fn admission_checks_cores_target_and_benchmarks() {
+        let info = |insts, bench: &str| TraceInfo {
+            version: TRACE_VERSION,
+            meta: TraceMeta {
+                insts,
+                ..meta(&["twolf", bench])
+            },
+            records: vec![1, 1],
+        };
+        let profiles = info(1000, "gzip").admit(2, 1000).unwrap();
+        let names: Vec<&str> = profiles.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["twolf", "gzip"]);
+        for (info, cores, insts, expect) in [
+            (info(1000, "gzip"), 4, 1000, "machine has 4 cores"),
+            (info(1000, "gzip"), 2, 1001, "captured to 1000"),
+            (info(1000, "gzip"), 2, 0, "targets 0"),
+            (info(0, "gzip"), 2, 1, "captured to 0"),
+            (info(1000, "nosuch"), 2, 1000, "unknown benchmark `nosuch`"),
+        ] {
+            let err = info.admit(cores, insts).unwrap_err().to_string();
+            assert!(err.contains(expect) && err.lines().count() == 1, "{err}");
+        }
     }
 
     #[test]
@@ -1428,26 +1440,6 @@ mod tests {
         let mut g = TraceGenerator::new(crate::benchmark("gzip").unwrap(), 11);
         let mut h = TraceGenerator::new(crate::benchmark("gzip").unwrap(), 11);
         assert_eq!(pull(&mut g), h.next_record());
-    }
-
-    #[test]
-    fn cyclic_trace_with_an_empty_thread_is_rejected_at_open() {
-        let m = TraceMeta {
-            insts: 0,
-            scheme: None,
-            ..meta(&["twolf", "gzip"])
-        };
-        let mut w = TraceWriter::create(Cursor::new(Vec::new()), &m).unwrap();
-        for r in sample(3, 10) {
-            w.push(0, r).unwrap(); // thread 1 stays empty
-        }
-        let bytes = w.finish().unwrap().into_inner();
-        let path = std::env::temp_dir().join("plru_trace_cyclic_empty_test.pltc");
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(RecordedThread::open(&path, 0).is_ok());
-        let err = RecordedThread::open(&path, 1).unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        assert!(err.to_string().contains("no records"), "{err}");
     }
 
     fn write_two_threads_with(
@@ -1566,9 +1558,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_trace_with_an_empty_thread_is_rejected_at_open() {
-        // Capture-mode (insts != 0) empty threads are rejected too: a
-        // strict replay of one would panic on its first record.
+    fn a_trace_with_an_empty_thread_is_rejected_at_open() {
+        // A replay of an empty thread would panic on its first record.
         let mut w =
             TraceWriter::create(Cursor::new(Vec::new()), &meta(&["twolf", "gzip"])).unwrap();
         for r in sample(3, 10) {
@@ -1611,45 +1602,6 @@ mod tests {
                 }
             }
             let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    #[test]
-    fn cyclic_replay_rewinds_the_open_handle() {
-        // meta.insts == 0 → cyclic: pulling past the end rewinds, on the
-        // handle opened at the start, so the file may go after one lap.
-        let a = sample(13, CHUNK_RECORDS * 2 + 300);
-        let b = sample(14, CHUNK_RECORDS + 700);
-        let m = TraceMeta {
-            insts: 0,
-            scheme: None,
-            ..meta(&["twolf", "gzip"])
-        };
-        for workers in PLACEMENTS {
-            let mut w =
-                TraceWriter::create_with(Cursor::new(Vec::new()), &m, Compression::Dict).unwrap();
-            for (t, records) in [(0, &a), (1, &b)] {
-                for r in records {
-                    w.push(t, *r).unwrap();
-                }
-            }
-            let path = std::env::temp_dir().join(format!("plru_trace_cyclic_{workers}.pltc"));
-            std::fs::write(&path, w.finish().unwrap().into_inner()).unwrap();
-            let pool = pool(workers);
-            let mut srcs =
-                [0, 1].map(|t| RecordedThread::open_with(&path, t, pool.clone()).unwrap());
-            let mut lap = || -> Vec<Vec<MemRecord>> {
-                srcs.iter_mut()
-                    .zip([a.len(), b.len()])
-                    .map(|(src, n)| (0..n).map(|_| src.next_record()).collect())
-                    .collect()
-            };
-            let first = lap();
-            std::fs::remove_file(&path).unwrap();
-            let second = lap();
-            assert_eq!(first, [a.clone(), b.clone()], "{workers} workers");
-            assert_eq!(second, first, "second lap at {workers} workers");
-            assert_eq!(srcs.map(|s| s.wraps()), [1, 1], "{workers} workers");
         }
     }
 

@@ -237,8 +237,8 @@ fn validate_crosschecks_counts() {
     let _ = std::fs::remove_file(&bad);
 }
 
-/// A per-thread-empty stream is rejected at validation time (cyclic
-/// replay of it would otherwise rewind forever).
+/// A per-thread-empty stream is rejected at validation time (a replay
+/// of it would have nothing to deliver).
 #[test]
 fn validate_rejects_zero_record_threads() {
     let streams = vec![

@@ -375,6 +375,14 @@ fn main() {
                 None => SweepRunner::new(),
             };
             let cases = spec.expand().unwrap_or_else(|e| fail(e));
+            // A case that panics (say, a recorded stream run dry under
+            // another scheme) comes back as an error, the only stderr
+            // line; the silent hook keeps the default one from printing
+            // the panic first.
+            std::panic::set_hook(Box::new(|_| {}));
+            let reports = runner.run_cases(&cases);
+            drop(std::panic::take_hook());
+            let reports = reports.unwrap_or_else(|e| fail(e));
             eprintln!(
                 "sweep `{}`: {} cases on {} worker(s)",
                 spec.name,
@@ -383,7 +391,7 @@ fn main() {
             );
             let report = SweepReport {
                 spec,
-                cases: runner.run_cases(&cases),
+                cases: reports,
             };
             print!("{}", report.render_table());
             if let Some(path) = &args.json {

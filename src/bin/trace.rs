@@ -14,12 +14,12 @@
 //! ```
 //!
 //! Malformed or missing files are readable one-line errors with exit
-//! code 1, never panics.
+//! code 1, never panics; so is a replay that runs a recorded stream dry.
 
 use plru_repro::prelude::*;
-use plru_repro::tracegen::trace::{self, Compression, TraceMeta, TraceWriter};
-use plru_repro::tracegen::TraceGenerator;
-use std::io::BufWriter;
+use plru_repro::scenario::pool::panic_message;
+use plru_repro::tracegen::trace::{self, Compression};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::exit;
 
 fn usage() -> ! {
@@ -28,15 +28,13 @@ fn usage() -> ! {
          \n\
          trace record (--workload NAME | --benchmarks A,B,..) --out FILE\n\
          \u{20}            [--insts N] [--seed N] [--salt N] [--scheme S]\n\
-         \u{20}            [--records N] [--compress]\n\
-         \u{20}   capture a workload to FILE. Default: run a full simulation\n\
-         \u{20}   (scheme S, default L) and record exactly the streams it\n\
-         \u{20}   consumes, plus padding. Replays under S are exact at any\n\
-         \u{20}   --insts up to the capture's; other schemes may run out at\n\
-         \u{20}   that target and need a lower --insts (or a larger\n\
-         \u{20}   capture). With --records N, skip the simulation and\n\
-         \u{20}   record N generator records per thread; such traces\n\
-         \u{20}   replay cyclically at any --insts. With\n\
+         \u{20}            [--compress]\n\
+         \u{20}   capture a workload to FILE: run a full simulation (scheme\n\
+         \u{20}   S, default L) and record exactly the streams it consumes,\n\
+         \u{20}   plus padding. Replays under S are exact at any --insts up\n\
+         \u{20}   to the capture's; other schemes may run a stream dry at\n\
+         \u{20}   that target, which stops the replay with one error line,\n\
+         \u{20}   and need a lower --insts (or a larger capture). With\n\
          \u{20}   --compress, write a block-compressed v2 container\n\
          \u{20}   (replays identically; v1 stays the default format).\n\
          \n\
@@ -44,7 +42,8 @@ fn usage() -> ! {
          \u{20}            [--json PATH] [--decode-workers N]\n\
          \u{20}   validate FILE and run it through the engine. Defaults to\n\
          \u{20}   the recorded insts/seed/salt/scheme, so a bare replay\n\
-         \u{20}   reproduces the capture run bit for bit. --decode-workers\n\
+         \u{20}   reproduces the capture run bit for bit; an --insts above\n\
+         \u{20}   the capture's is refused. --decode-workers\n\
          \u{20}   (default 2, 0 = inline, at most 64) decodes chunks ahead\n\
          \u{20}   of the simulation; the result is identical at any count.\n\
          \n\
@@ -156,7 +155,6 @@ fn cmd_record(args: &[String]) {
         "seed",
         "salt",
         "scheme",
-        "records",
         "compress",
     ]);
     if !p.positional.is_empty() {
@@ -181,6 +179,9 @@ fn cmd_record(args: &[String]) {
     };
     let baseline = MachineConfig::paper_baseline(wl.threads());
     let insts = p.get_u64("insts").unwrap_or(baseline.insts_target);
+    if insts == 0 {
+        fail("--insts must be positive");
+    }
     let seed = p.get_u64("seed").unwrap_or(baseline.seed);
     let salt = p.get_u64("salt").unwrap_or(0);
     let compression = if p.has("compress") {
@@ -188,54 +189,6 @@ fn cmd_record(args: &[String]) {
     } else {
         Compression::None
     };
-
-    if let Some(records) = p.get_u64("records") {
-        // Generator mode: stream N records per thread, no simulation.
-        if records == 0 {
-            fail("--records must be at least 1");
-        }
-        if p.has("scheme") {
-            fail("--scheme only applies to capture mode (drop --records)");
-        }
-        if p.has("insts") {
-            fail(
-                "--insts only applies to capture mode (with --records the trace length \
-                 is the record count, and replay is cyclic at any target)",
-            );
-        }
-        let mut cfg = baseline;
-        cfg.seed = seed;
-        let meta = TraceMeta {
-            workload: wl.name.clone(),
-            benchmarks: wl.benchmarks.clone(),
-            seed,
-            seed_salt: salt,
-            insts: 0,
-            scheme: None,
-        };
-        let file = std::fs::File::create(out).unwrap_or_else(|e| fail(format!("{out}: {e}")));
-        let mut w = TraceWriter::create_with(BufWriter::new(file), &meta, compression)
-            .unwrap_or_else(|e| fail(format!("{out}: {e}")));
-        for (i, profile) in wl.profiles().into_iter().enumerate() {
-            let mut g = TraceGenerator::new(profile, System::thread_seed(&cfg, i, salt));
-            for _ in 0..records {
-                w.push(i, g.next_record())
-                    .unwrap_or_else(|e| fail(format!("{out}: {e}")));
-            }
-        }
-        w.finish().unwrap_or_else(|e| fail(format!("{out}: {e}")));
-        eprintln!(
-            "recorded {} x {records} generator records of `{}` to {out}",
-            wl.threads(),
-            wl.name
-        );
-        return;
-    }
-
-    // Capture mode: run the simulation, tee the consumed streams.
-    if insts == 0 {
-        fail("--insts must be positive");
-    }
     let engine = engine_for(
         p.get("scheme").unwrap_or("L"),
         wl.threads(),
@@ -267,14 +220,10 @@ fn cmd_replay(args: &[String]) {
     };
     let info = trace::validate_path(path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
     let meta = &info.meta;
-    let insts = match (p.get_u64("insts"), meta.insts) {
-        (Some(0), _) => fail("--insts must be positive"),
-        (Some(n), _) => n,
-        (None, 0) => fail(format!(
-            "{path} is a generator-streamed trace with no recorded instruction \
-             target; pass --insts explicitly"
-        )),
-        (None, recorded) => recorded,
+    let insts = match p.get_u64("insts") {
+        Some(0) => fail("--insts must be positive"),
+        Some(n) => n,
+        None => meta.insts,
     };
     let scheme = p
         .get("scheme")
@@ -287,8 +236,14 @@ fn cmd_replay(args: &[String]) {
     // inline. Either way the result is bit-identical.
     let decode_workers = p.get_u64("decode-workers").unwrap_or(2) as usize;
     let engine = engine_for(&scheme, meta.threads(), insts, seed, salt, decode_workers);
-    let result = engine
-        .run_trace(path)
+    // A recorded stream that runs dry panics inside the library (a
+    // `TraceSource` has no error channel); it is reported as one line.
+    // The silent hook keeps the default one from printing it first.
+    std::panic::set_hook(Box::new(|_| {}));
+    let run = catch_unwind(AssertUnwindSafe(|| engine.run_trace(path)));
+    drop(std::panic::take_hook());
+    let result = run
+        .unwrap_or_else(|panic| fail(panic_message(&*panic)))
         .unwrap_or_else(|e| fail(format!("{path}: {e}")));
     let metrics =
         WorkloadMetrics::compute(&result.ipcs(), &engine.isolation_ipcs(&meta.benchmarks));
@@ -356,15 +311,13 @@ fn cmd_info(args: &[String]) {
     }
     println!("workload: {} ({} threads)", meta.workload, meta.threads());
     println!("benchmarks: {}", meta.benchmarks.join(", "));
-    match meta.insts {
-        0 => println!("captured: generator-streamed (no simulation)"),
-        n => println!(
-            "captured: scheme {}, insts {n}, seed {}, salt {}",
-            meta.scheme.as_deref().unwrap_or("?"),
-            meta.seed,
-            meta.seed_salt
-        ),
-    }
+    println!(
+        "captured: scheme {}, insts {}, seed {}, salt {}",
+        meta.scheme.as_deref().unwrap_or("?"),
+        meta.insts,
+        meta.seed,
+        meta.seed_salt
+    );
     let counts: Vec<String> = info.records.iter().map(u64::to_string).collect();
     println!(
         "records: [{}] (total {})",

@@ -57,7 +57,7 @@ use std::io::{self, BufWriter};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use tracegen::trace::{
-    self, CapturingSource, Compression, DecodeOptions, TraceError, TraceSource, TraceWriter,
+    CapturingSource, Compression, DecodeOptions, TraceError, TraceSource, TraceWriter,
 };
 use tracegen::{BenchmarkProfile, TraceGenerator, TraceMeta, Workload};
 
@@ -288,8 +288,9 @@ impl SimEngine {
     /// bit-identically under it at any instruction target up to this
     /// engine's ([`TraceMeta::insts`] records it). Other schemes consume
     /// differently per thread and can run past the padding at that
-    /// target (4T_01 at 300k did on most seeds, up to 16% short); replay
-    /// them at a lower target, or record at a larger one.
+    /// target (4T_01 at 300k did on most seeds, up to 16% short), which
+    /// stops their replay; replay them at a lower target, or record at a
+    /// larger one.
     pub fn record_trace(
         &self,
         workload: &Workload,
@@ -304,7 +305,7 @@ impl SimEngine {
     /// The recorded record streams are identical either way.
     ///
     /// A zero instruction target is an error, and no file is written: a
-    /// header with `insts` 0 marks a generator-streamed trace.
+    /// header with `insts` 0 would admit no replay.
     pub fn record_trace_with(
         &self,
         workload: &Workload,
@@ -380,22 +381,12 @@ impl SimEngine {
     /// Build (but do not run) a system replaying the recorded trace at
     /// `path` on this engine's machine, policy and CPA.
     ///
-    /// Errors if the file is missing/malformed, its thread count differs
-    /// from the engine's core count, or — for capture-mode traces — the
-    /// engine's instruction target exceeds the recorded one (the
-    /// recorded streams would run dry mid-simulation).
-    /// Generator-streamed traces (`TraceMeta::insts == 0`) replay
-    /// cyclically and accept any target.
+    /// Errors if the file is missing or malformed, or if
+    /// [`TraceInfo::admit`](tracegen::trace::TraceInfo::admit) refuses the
+    /// replay: the trace's thread count differs from the engine's core
+    /// count, the engine's instruction target is 0 or exceeds the
+    /// capture's, or a benchmark name no longer resolves.
     pub fn system_from_trace(&self, path: impl AsRef<Path>) -> Result<System, TraceError> {
-        let path = path.as_ref();
-        let info = trace::load_info(path)?;
-        if info.meta.insts != 0 && self.cfg.insts_target > info.meta.insts {
-            return Err(TraceError::Format(format!(
-                "captured to {} instructions per thread, but this engine targets {} \
-                 — re-record with a larger --insts",
-                info.meta.insts, self.cfg.insts_target
-            )));
-        }
         System::from_trace_scheme(
             &self.cfg,
             path,
@@ -408,7 +399,9 @@ impl SimEngine {
     /// Replay the recorded trace at `path` to completion.
     ///
     /// With the same machine, scheme, seed and salt as the capture run,
-    /// the result is bit-identical to the live run the trace recorded.
+    /// the result is bit-identical to the live run the trace recorded. A
+    /// recorded stream that runs dry panics mid-run
+    /// ([`tracegen::trace::RecordedThread`] has the details).
     pub fn run_trace(&self, path: impl AsRef<Path>) -> Result<SimResult, TraceError> {
         Ok(self.system_from_trace(path)?.run())
     }

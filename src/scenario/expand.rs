@@ -178,7 +178,8 @@ impl ScenarioSpec {
     /// Expand the spec into its ordered case list.
     ///
     /// Errors on an instruction budget of 0 (no IPC to measure), unknown
-    /// workload/benchmark/scheme names, empty axes, and (size,
+    /// workload/benchmark/scheme names, recorded traces that fail
+    /// validation or admission at the budget, empty axes, and (size,
     /// associativity, policy) combinations no case could simulate
     /// (invalid geometry, or BT at a non-power-of-two associativity).
     pub fn expand(&self) -> Result<Vec<ScenarioCase>, ScenarioError> {
@@ -200,8 +201,9 @@ impl ScenarioSpec {
         non_empty(&resolved_schemes, "schemes")?;
 
         // Resolve the workload axis (validates every name; recorded
-        // traces are fully stream-validated here so a corrupt file fails
-        // the whole sweep readably instead of panicking mid-case).
+        // traces are fully stream-validated and admitted at the budget
+        // here, so a corrupt or undersized file fails the whole sweep
+        // readably instead of panicking mid-case).
         let mut workloads: Vec<(Workload, Option<String>)> = Vec::new();
         for sel in &dedupe(&self.workloads) {
             let wl = match sel {
@@ -221,25 +223,8 @@ impl ScenarioSpec {
                 ),
                 WorkloadSel::Recorded(path) => {
                     let info = tracegen::trace::validate_path(path)
+                        .and_then(|info| info.admit(info.meta.threads(), insts).map(|_| info))
                         .map_err(|e| ScenarioError::new(format!("recorded trace `{path}`: {e}")))?;
-                    for b in &info.meta.benchmarks {
-                        if tracegen::benchmark(b).is_none() {
-                            return Err(ScenarioError::new(format!(
-                                "recorded trace `{path}` names unknown benchmark `{b}`"
-                            )));
-                        }
-                    }
-                    // Capture-mode traces guarantee sufficiency only up
-                    // to their recorded target; generator-streamed ones
-                    // (insts == 0) replay cyclically, so any target is
-                    // fine.
-                    if info.meta.insts != 0 && insts > info.meta.insts {
-                        return Err(ScenarioError::new(format!(
-                            "recorded trace `{path}` was captured to {} instructions \
-                             per thread, but the spec asks for {insts}",
-                            info.meta.insts
-                        )));
-                    }
                     (
                         Workload {
                             name: info.meta.workload.clone(),

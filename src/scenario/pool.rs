@@ -32,7 +32,7 @@
 //! outcome is in, the memo holds nothing.
 
 use crate::engine::IsolationCache;
-use crate::scenario::expand::ScenarioCase;
+use crate::scenario::expand::{ScenarioCase, ScenarioError};
 use crate::scenario::report::CaseReport;
 use cmpsim::{StreamKey, WorkloadMetrics};
 use std::collections::VecDeque;
@@ -230,9 +230,10 @@ impl WorkerPool {
 
     /// Run one pre-expanded case list to completion and return reports
     /// ordered by case index — the one-shot orchestration used by
-    /// [`SweepRunner`](crate::scenario::SweepRunner). Panics if a case
-    /// panicked (matching the old scoped-runner behaviour).
-    pub fn run_ordered(&self, cases: &[ScenarioCase]) -> Vec<CaseReport> {
+    /// [`SweepRunner`](crate::scenario::SweepRunner). The first case
+    /// that fails (its panic message) or is skipped (the pool stopped)
+    /// is returned as the error, without waiting for the others.
+    pub fn run_ordered(&self, cases: &[ScenarioCase]) -> Result<Vec<CaseReport>, ScenarioError> {
         let (tx, rx) = std::sync::mpsc::channel();
         let never_cancelled = Arc::new(AtomicBool::new(false));
         for case in cases {
@@ -248,17 +249,21 @@ impl WorkerPool {
             match rx.recv().expect("pool outlives the sweep") {
                 CaseOutcome::Completed { index, report } => slots[index] = Some(*report),
                 CaseOutcome::Skipped { index } => {
-                    panic!("sweep case {index} skipped: the pool was stopped")
+                    return Err(ScenarioError::new(format!(
+                        "case {index} was skipped: the pool stopped"
+                    )))
                 }
                 CaseOutcome::Failed { index, message } => {
-                    panic!("sweep case {index} panicked: {message}")
+                    return Err(ScenarioError::new(format!(
+                        "case {index} failed: {message}"
+                    )))
                 }
             }
         }
-        slots
+        Ok(slots
             .into_iter()
             .map(|s| s.expect("every case reported"))
-            .collect()
+            .collect())
     }
 
     /// Stop the workers: in-flight cases finish, queued tasks are
@@ -346,7 +351,8 @@ fn run_task(Queued { task, pins }: Queued, shared: &PoolShared) {
     let _ = task.sink.send(outcome);
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+/// The message a caught panic carries (its `&str` or `String` payload).
+pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -414,7 +420,7 @@ mod tests {
     fn run_ordered_returns_reports_in_case_order() {
         let pool = WorkerPool::new(2, Arc::default());
         let cases = tiny_cases();
-        let reports = pool.run_ordered(&cases);
+        let reports = pool.run_ordered(&cases).unwrap();
         assert_eq!(reports.len(), cases.len());
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.case.index, i);
@@ -426,10 +432,10 @@ mod tests {
     fn pool_survives_jobs_and_keeps_the_memo_warm() {
         let pool = WorkerPool::new(2, Arc::default());
         let cases = tiny_cases();
-        let first = pool.run_ordered(&cases);
+        let first = pool.run_ordered(&cases).unwrap();
         let stats_after_first = pool.isolation_cache().stats();
         assert!(stats_after_first.misses > 0, "cold memo simulated solos");
-        let second = pool.run_ordered(&cases);
+        let second = pool.run_ordered(&cases).unwrap();
         let stats_after_second = pool.isolation_cache().stats();
         assert_eq!(
             stats_after_second.misses, stats_after_first.misses,
@@ -580,7 +586,7 @@ mod tests {
     fn the_memo_holds_no_stream_after_run_ordered() {
         let pool = WorkerPool::new(2, Arc::default());
         let cases = memo_cases();
-        pool.run_ordered(&cases);
+        pool.run_ordered(&cases).unwrap();
         let s = pool.isolation_cache().streams().stats();
         assert_eq!((s.pinned, s.live, s.resident_bytes), (0, 0, 0), "{s:?}");
         assert!(s.peak_bytes > 0, "the sweep read its streams from tapes");

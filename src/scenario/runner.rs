@@ -56,15 +56,14 @@ impl SweepRunner {
     /// A runner sized to the hardware (one worker per available thread,
     /// at most [`MAX_POOL_WORKERS`]).
     pub fn new() -> Self {
-        let threads =
-            std::thread::available_parallelism().map_or(4, |n| n.get().min(MAX_POOL_WORKERS));
-        Self::with_threads(threads)
+        Self::with_threads(std::thread::available_parallelism().map_or(4, |n| n.get()))
     }
 
-    /// A runner with an explicit worker count (≥ 1).
+    /// A runner with an explicit worker count, clamped to
+    /// `1 ..= MAX_POOL_WORKERS` (each worker is an OS thread).
     pub fn with_threads(threads: usize) -> Self {
         SweepRunner {
-            threads: threads.max(1),
+            threads: threads.clamp(1, MAX_POOL_WORKERS),
             isolation: Arc::default(),
         }
     }
@@ -85,24 +84,26 @@ impl SweepRunner {
         &self.isolation
     }
 
-    /// Expand a spec and run every case.
+    /// Expand a spec and run every case; an invalid spec or a failed
+    /// case is the error.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<SweepReport, ScenarioError> {
         let cases = spec.expand()?;
         Ok(SweepReport {
             spec: spec.clone(),
-            cases: self.run_cases(&cases),
+            cases: self.run_cases(&cases)?,
         })
     }
 
-    /// Run pre-expanded cases, returning reports ordered by case index.
+    /// Run pre-expanded cases, returning reports ordered by case index,
+    /// or the first case that failed (see [`WorkerPool::run_ordered`]).
     ///
     /// Each call spins up an ephemeral [`WorkerPool`] sized to
     /// `min(threads, cases)` and tears it down afterwards; a caller that
     /// wants the fleet (and its warm memo) to survive across sweeps
     /// holds a [`WorkerPool`] directly, as the sweep service does.
-    pub fn run_cases(&self, cases: &[ScenarioCase]) -> Vec<CaseReport> {
+    pub fn run_cases(&self, cases: &[ScenarioCase]) -> Result<Vec<CaseReport>, ScenarioError> {
         if cases.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let pool = WorkerPool::new(self.threads.min(cases.len()), self.isolation.clone());
         let reports = pool.run_ordered(cases);
@@ -242,6 +243,15 @@ mod tests {
         let with_cpa = &report.cases[1];
         let history = with_cpa.allocation_history.as_ref().expect("CPA history");
         assert_eq!(history.len() as u64, with_cpa.result.intervals);
+    }
+
+    #[test]
+    fn with_threads_clamps_to_the_pool_cap() {
+        // Checked on the runner alone: no pool, so no thread starts.
+        let cap = MAX_POOL_WORKERS;
+        assert_eq!(SweepRunner::with_threads(cap + 1).threads(), cap);
+        assert_eq!(SweepRunner::with_threads(cap).threads(), cap);
+        assert_eq!(SweepRunner::with_threads(0).threads(), 1);
     }
 
     #[test]

@@ -151,82 +151,6 @@ fn info_json_parses_back_into_trace_info() {
 }
 
 #[test]
-fn generator_mode_traces_replay_cyclically_past_their_length() {
-    // A tiny generator-streamed trace makes no sufficiency claim: replay
-    // at a target far beyond its record count must wrap and complete
-    // cleanly, not panic (meta.insts == 0 ⇒ cyclic semantics).
-    let path = tmp("plru_cli_cyclic.pltc");
-    let rec = run(trace_bin().args([
-        "record",
-        "--benchmarks",
-        "gzip,eon",
-        "--records",
-        "300",
-        "--out",
-        path.to_str().unwrap(),
-    ]));
-    assert!(rec.status.success(), "record failed: {}", stderr(&rec));
-    let rep = run(trace_bin().args(["replay", path.to_str().unwrap(), "--insts", "20000"]));
-    let _ = std::fs::remove_file(&path);
-    assert!(
-        rep.status.success(),
-        "cyclic replay must succeed: {}",
-        stderr(&rep)
-    );
-    assert!(
-        stdout(&rep).contains("replayed `gzip+eon`"),
-        "{}",
-        stdout(&rep)
-    );
-}
-
-#[test]
-fn generator_mode_rejects_capture_only_flags() {
-    let path = tmp("plru_cli_genflags.pltc");
-    for flag in [["--insts", "5000"], ["--scheme", "M-L"]] {
-        let out = run(trace_bin()
-            .args([
-                "record",
-                "--benchmarks",
-                "gzip",
-                "--records",
-                "100",
-                "--out",
-                path.to_str().unwrap(),
-            ])
-            .args(flag));
-        assert_eq!(out.status.code(), Some(1), "{flag:?}");
-        assert!(
-            stderr(&out).contains("capture mode"),
-            "{flag:?}: {}",
-            stderr(&out)
-        );
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn generator_mode_records_exact_counts() {
-    let path = tmp("plru_cli_genmode.pltc");
-    let rec = run(trace_bin().args([
-        "record",
-        "--benchmarks",
-        "gzip,eon",
-        "--records",
-        "500",
-        "--out",
-        path.to_str().unwrap(),
-    ]));
-    assert!(rec.status.success(), "record failed: {}", stderr(&rec));
-    let out = run(trace_bin().args(["info", path.to_str().unwrap()]));
-    let text = stdout(&out);
-    let _ = std::fs::remove_file(&path);
-    assert!(text.contains("workload: gzip+eon (2 threads)"), "{text}");
-    assert!(text.contains("generator-streamed"), "{text}");
-    assert!(text.contains("records: [500, 500] (total 1000)"), "{text}");
-}
-
-#[test]
 fn malformed_trace_is_a_readable_nonzero_exit() {
     let path = tmp("plru_cli_garbage.pltc");
     std::fs::write(&path, b"this is not a trace").unwrap();
@@ -332,8 +256,8 @@ fn replay_bounds_the_decode_worker_count() {
     assert!(err.contains(&format!("{workers} decode workers")), "{err}");
 }
 
-/// A one-thread, generator-streamed `gzip` container whose third record
-/// carries `gap` instructions.
+/// A one-thread `gzip` container, captured to 2000 instructions, whose
+/// third record carries `gap` instructions.
 fn trace_with_gap(name: &str, gap: u32) -> PathBuf {
     use plru_repro::tracegen::{trace::TraceWriter, MemRecord};
     let path = tmp(name);
@@ -342,7 +266,7 @@ fn trace_with_gap(name: &str, gap: u32) -> PathBuf {
         benchmarks: vec!["gzip".into()],
         seed: 1,
         seed_salt: 0,
-        insts: 0,
+        insts: 2000,
         scheme: None,
     };
     let file = std::fs::File::create(&path).unwrap();
@@ -377,6 +301,101 @@ fn replay_rejects_gaps_above_the_generator_cap() {
         );
         assert!(err.contains(&format!("cap of {cap}")), "{err}");
     }
+}
+
+/// A hand-built `gzip` + `eon` container whose header claims a capture
+/// target of `insts` but which holds only `records` generator records
+/// per thread.
+fn short_container(name: &str, insts: u64, records: usize) -> PathBuf {
+    use plru_repro::tracegen::{trace::TraceWriter, TraceGenerator};
+    let path = tmp(name);
+    let meta = TraceMeta {
+        workload: "gzip+eon".into(),
+        benchmarks: vec!["gzip".into(), "eon".into()],
+        seed: 1,
+        seed_salt: 0,
+        insts,
+        scheme: Some("L".into()),
+    };
+    let mut w = TraceWriter::create(std::fs::File::create(&path).unwrap(), &meta).unwrap();
+    for (t, name) in ["gzip", "eon"].iter().enumerate() {
+        let mut g = TraceGenerator::new(benchmark(name).unwrap(), 7 + t as u64);
+        for _ in 0..records {
+            w.push(t, g.next_record()).unwrap();
+        }
+    }
+    w.finish().unwrap();
+    path
+}
+
+/// Write a spec file `name` that sweeps the recorded container `trace`
+/// under `L` at `insts` instructions per thread.
+fn recorded_spec(name: &str, trace: &std::path::Path, insts: u64) -> PathBuf {
+    let path = tmp(name);
+    let spec = format!(
+        r#"{{"name": "recorded", "insts": {insts},
+             "workloads": [{{"recorded": "{}"}}], "schemes": ["L"]}}"#,
+        trace.display()
+    );
+    std::fs::write(&path, spec).unwrap();
+    path
+}
+
+/// Exit 1, an empty stdout and one stderr line that starts with `prefix`
+/// and contains `needle`.
+fn assert_one_line_failure(out: &Output, prefix: &str, needle: &str) {
+    let err = stderr(out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(stdout(out), "", "{err}");
+    assert!(
+        err.starts_with(prefix) && err.lines().count() == 1 && err.contains(needle),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_replay_that_runs_a_stream_dry_fails_with_one_line() {
+    // The header admits a 20k-instruction replay, but 300 records per
+    // thread run out long before it.
+    let trace = short_container("plru_cli_dry.pltc", 20_000, 300);
+    let spec = recorded_spec("plru_cli_dry_spec.json", &trace, 20_000);
+    let replay = run(trace_bin().args(["replay", trace.to_str().unwrap()]));
+    let sweep = run(sweep_bin().arg(spec.to_str().unwrap()));
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&spec);
+    let dry = "after 300 records";
+    assert_one_line_failure(&replay, "trace: recorded trace ", dry);
+    assert_one_line_failure(&sweep, "sweep: case 0 failed: recorded trace ", dry);
+}
+
+#[test]
+fn a_container_without_a_capture_target_admits_no_replay() {
+    // A header with `insts` 0 is refused before any simulation, through
+    // the library and through both binaries.
+    let trace = short_container("plru_cli_no_target.pltc", 0, 300);
+    let spec = recorded_spec("plru_cli_no_target_spec.json", &trace, 2000);
+    let engine = SimEngine::builder().cores(2).insts(2000).build();
+    let library = match engine.system_from_trace(&trace) {
+        Ok(_) => panic!("an insts-0 container built a system"),
+        Err(e) => e.to_string(),
+    };
+    let expand = ScenarioSpec::from_json(&std::fs::read_to_string(&spec).unwrap())
+        .unwrap()
+        .expand()
+        .unwrap_err()
+        .to_string();
+    let bare = run(trace_bin().args(["replay", trace.to_str().unwrap()]));
+    let replay = run(trace_bin().args(["replay", trace.to_str().unwrap(), "--insts", "2000"]));
+    let sweep = run(sweep_bin().arg(spec.to_str().unwrap()));
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&spec);
+    let refusal = "captured to 0 instructions per thread";
+    for err in [&library, &expand] {
+        assert!(err.contains(refusal) && err.lines().count() == 1, "{err}");
+    }
+    assert_one_line_failure(&bare, "trace: ", "the replay targets 0");
+    assert_one_line_failure(&replay, "trace: ", refusal);
+    assert_one_line_failure(&sweep, "sweep: recorded trace ", refusal);
 }
 
 #[test]

@@ -106,8 +106,8 @@ fn replay_beyond_the_recorded_target_is_a_readable_error() {
 
 #[test]
 fn recording_at_a_zero_target_is_an_error() {
-    // Its header would read `insts: 0`, the mark of a generator-streamed
-    // trace, so the capture is refused before the file is created.
+    // Its header would read `insts: 0`, which admits no replay, so the
+    // capture is refused before the file is created.
     let path = tmp("plru_replay_zero_target.pltc");
     let _ = std::fs::remove_file(&path);
     let engine = SimEngine::builder().cores(2).insts(0).build();
@@ -144,7 +144,7 @@ fn v2_replay_is_bit_identical_to_v1_and_live_at_any_worker_count() {
         .unwrap();
     assert!(
         std::fs::metadata(&v2).unwrap().len() < std::fs::metadata(&v1).unwrap().len(),
-        "dict compression must shrink the generator-stream container"
+        "dict compression must shrink the captured container"
     );
 
     let v1_result = engine.run_trace(&v1).unwrap();
@@ -181,7 +181,7 @@ fn replay_refuses_a_gap_above_the_generator_cap() {
         benchmarks: vec!["gzip".into()],
         seed: 1,
         seed_salt: 0,
-        insts: 0,
+        insts: 2_000,
         scheme: None,
     };
     let mut w = TraceWriter::create(std::fs::File::create(&path).unwrap(), &meta).unwrap();
@@ -329,45 +329,6 @@ fn expansion_rejects_missing_and_undersized_traces() {
     let err = spec.expand().unwrap_err().to_string();
     let _ = std::fs::remove_file(&path);
     assert!(err.contains("5000") && err.contains("10000"), "{err}");
-}
-
-#[test]
-fn sweeps_over_generator_streamed_traces_cycle_instead_of_panicking() {
-    // The review repro: a tiny --records-style container (insts == 0, no
-    // sufficiency claim) swept at a much larger target must run to
-    // completion via cyclic replay, not kill the worker mid-case.
-    use plru_repro::tracegen::trace::{TraceMeta, TraceWriter};
-    use plru_repro::tracegen::TraceGenerator;
-
-    let path = tmp("plru_replay_cyclic_sweep.pltc");
-    let meta = TraceMeta {
-        workload: "gzip+eon".into(),
-        benchmarks: vec!["gzip".into(), "eon".into()],
-        seed: 1,
-        seed_salt: 0,
-        insts: 0,
-        scheme: None,
-    };
-    let mut w = TraceWriter::create(std::fs::File::create(&path).unwrap(), &meta).unwrap();
-    for (t, name) in ["gzip", "eon"].iter().enumerate() {
-        let mut g = TraceGenerator::new(benchmark(name).unwrap(), 7 + t as u64);
-        for _ in 0..300 {
-            w.push(t, g.next_record()).unwrap();
-        }
-    }
-    w.finish().unwrap();
-
-    let spec = ScenarioSpec {
-        name: "cyclic".into(),
-        insts: Some(20_000),
-        workloads: vec![WorkloadSel::Recorded(path.display().to_string())],
-        schemes: vec!["L".into()].into(),
-        ..Default::default()
-    };
-    let report = SweepRunner::with_threads(1).run(&spec).unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(report.cases.len(), 1);
-    assert!(report.cases[0].result.ipcs().iter().all(|&i| i > 0.0));
 }
 
 #[test]
