@@ -17,9 +17,10 @@
 //!
 //! Note the drain does no work between records, so the worker>0 ids
 //! measure the pool's hand-off cost at maximum pull rate — its worst
-//! case. In a real replay the simulator burns cycles per record and the
-//! workers decode ahead; what matters here is that the overhead stays
-//! bounded, which the gate enforces.
+//! case; what matters here is that the overhead stays bounded, which the
+//! gate enforces. The simulator no longer drains through this pool: a
+//! replay's decode workers run each core's whole front end, decoding
+//! inline on the worker (`cmpsim::System::from_trace_scheme`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;

@@ -77,6 +77,16 @@ impl Records {
         r
     }
 
+    /// [`Records::next_record`] through the source's fallible step
+    /// ([`TraceSource::try_next_record`]): why the stream stopped, in
+    /// place of its panic.
+    #[inline]
+    pub(crate) fn try_next_record(&mut self) -> Result<MemRecord, String> {
+        let mut r = self.source.try_next_record()?;
+        r.addr += data_offset(self.core_id);
+        Ok(r)
+    }
+
     /// Instruction-fetch line addresses covering `insts` sequentially
     /// executed instructions, appended to a caller-owned buffer (cleared
     /// first): the fetch cursor walks the benchmark's code footprint

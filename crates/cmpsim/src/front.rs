@@ -12,15 +12,18 @@
 //!
 //! * [`Front::Live`]: a [`LiveFront`] pulls one record per step from
 //!   the core's source and runs it through the core's own L1s;
-//! * [`Front::Taped`]: a [`StepReader`] replays the steps a stream
-//!   memo's tape stored once for every simulation that reads the stream.
+//! * [`Front::Taped`]: a [`StepReader`] decodes steps made elsewhere:
+//!   those a stream memo's tape stored once for every simulation that
+//!   reads the stream, or those a trace replay's decode worker makes
+//!   ahead of the back end by running the core's [`LiveFront`] on its
+//!   own thread.
 
 use crate::config::MachineConfig;
 use crate::core_model::Records;
 use crate::tape::StepReader;
 use cachesim::hierarchy::L1Pair;
 use cachesim::{Access, Addr};
-use tracegen::{BenchmarkProfile, TraceSource};
+use tracegen::{BenchmarkProfile, MemRecord, TraceSource};
 
 /// One record after the private L1s: what the back end needs of it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -65,6 +68,20 @@ impl LiveFront {
     /// Pull exactly one record and run it through the L1s into `step`.
     pub fn next_step(&mut self, step: &mut Step) {
         let r = self.records.next_record();
+        self.filter(r, step);
+    }
+
+    /// [`LiveFront::next_step`] through the source's fallible step: why
+    /// the stream stopped, in place of its panic, with `step` untouched.
+    pub(crate) fn try_next_step(&mut self, step: &mut Step) -> Result<(), String> {
+        let r = self.records.try_next_record()?;
+        self.filter(r, step);
+        Ok(())
+    }
+
+    /// Run record `r` through fetch synthesis and the L1s into `step`.
+    #[inline]
+    fn filter(&mut self, r: MemRecord, step: &mut Step) {
         step.insts = r.instructions();
         step.fetch.clear();
         self.records.fetch_addrs_into(step.insts, &mut self.lines);
@@ -78,7 +95,8 @@ impl LiveFront {
 pub enum Front {
     /// The core's own records, through its own L1s.
     Live(Box<LiveFront>),
-    /// Steps a stream tape stored, for this core.
+    /// Steps a stream tape stored, or a front-end worker sends, for this
+    /// core.
     Taped(StepReader),
 }
 

@@ -17,7 +17,10 @@
 //! so the cases of a sweep can share it: the stream memo
 //! ([`StreamCache`]) runs it once per stream into a step [`tape`], and
 //! each case replays only the back end — the shared L2, the controller
-//! and the clocks.
+//! and the clocks. For the same reason a trace replay with decode
+//! workers ([`System::from_trace_scheme`]) runs each core's front end on
+//! a worker thread, which hands the simulating thread finished steps in
+//! the tape's code, so that thread too runs only the back end.
 //!
 //! ## Example
 //!
@@ -39,6 +42,7 @@ pub mod config;
 pub mod core_model;
 pub mod front;
 pub mod metrics;
+mod pipe;
 pub mod runner;
 pub mod system;
 pub mod tape;

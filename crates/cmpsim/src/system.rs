@@ -3,11 +3,13 @@
 //! [`System::run`] is one loop over steps (see [`crate::front`]): the
 //! core with the smallest clock takes its next step from its front end,
 //! and the back end — the shared L2, the controller and the clocks —
-//! charges it.
+//! charges it. A replay with decode workers runs the front ends on those
+//! workers, ahead of the loop, which then runs only the back end.
 
 use crate::config::MachineConfig;
 use crate::core_model::CoreModel;
-use crate::front::{Front, Step};
+use crate::front::{Front, LiveFront, Step};
+use crate::pipe;
 use cachesim::{Cache, CacheConfig, CacheStats};
 use plru_core::{CpaController, Scheme};
 use serde::{Deserialize, Serialize};
@@ -202,12 +204,22 @@ impl System {
     /// [`tracegen::trace`]) under a [`Scheme`]: per-core streams come from
     /// the file, the timing model from the profiles named in its metadata.
     ///
-    /// `decode` picks where chunks are decoded: a non-zero
-    /// [`DecodeOptions`](tracegen::trace::DecodeOptions) worker count
-    /// decodes them ahead of consumption on a shared pool. The replayed
-    /// streams are identical at any worker count.
+    /// `decode` picks where the front ends run. With 0
+    /// [`DecodeOptions`](tracegen::trace::DecodeOptions) workers each
+    /// core decodes its records and runs them through its L1s on the
+    /// simulating thread. With `n` workers, `min(n, cores)` threads run
+    /// the cores' whole front ends (chunk decode, fetch synthesis and the
+    /// private L1s) ahead of [`System::run`], which then runs only the
+    /// back end. The threads start here but make nothing before the first
+    /// step, and dropping the system joins them. A stream that stops (it
+    /// runs dry, or holds a gap above the cap or a corrupt chunk) panics
+    /// `run` with the same message at any worker count, and only when a
+    /// core needs the step it could not make. The results are identical
+    /// at any worker count.
     ///
-    /// Errors if the file is unreadable or malformed, or if
+    /// Errors if the file is unreadable or malformed, if the worker count
+    /// is above [`MAX_DECODE_WORKERS`](tracegen::trace::MAX_DECODE_WORKERS)
+    /// (before any thread starts), or if
     /// [`TraceInfo::admit`](tracegen::trace::TraceInfo::admit) refuses
     /// the replay on `cfg`: a thread count other than `cfg.num_cores`, an
     /// instruction target of 0 or above the capture's, or a benchmark
@@ -219,10 +231,27 @@ impl System {
         seed_salt: u64,
         decode: &trace::DecodeOptions,
     ) -> Result<Self, TraceError> {
-        let (info, sources) = trace::open_sources_with(path, decode)?;
+        let workers = decode.checked_workers()?;
+        let (info, sources) = trace::open_sources(path)?;
         let profiles = info.admit(cfg.num_cores, cfg.insts_target)?;
-        Ok(Self::from_sources_scheme(
-            cfg, &profiles, sources, scheme, seed_salt,
+        if workers == 0 {
+            return Ok(Self::from_sources_scheme(
+                cfg, &profiles, sources, scheme, seed_salt,
+            ));
+        }
+        let fronts = profiles
+            .iter()
+            .zip(sources)
+            .map(|(p, source)| LiveFront::new(0, p, source, cfg))
+            .collect();
+        let (readers, jobs) = pipe::connect(fronts, workers);
+        for (i, job) in jobs.into_iter().enumerate() {
+            // On an error the readers drop, which joins the started ones.
+            job.spawn(i)?;
+        }
+        let fronts = readers.into_iter().map(Front::Taped).collect();
+        Ok(Self::from_fronts_scheme(
+            cfg, &profiles, fronts, scheme, seed_salt,
         ))
     }
 

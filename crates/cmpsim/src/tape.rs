@@ -11,6 +11,10 @@
 //! which changes no L1 set index and no tag equality, so it yields
 //! exactly the steps that core's own live front end would.
 //!
+//! A replay's front-end workers (`crate::pipe`) send their cores' steps
+//! to the back end in the same code and chunks, and a [`StepReader`]
+//! decodes those too.
+//!
 //! ## The code
 //!
 //! Every step starts with one header byte:
@@ -32,14 +36,16 @@
 use crate::config::MachineConfig;
 use crate::core_model::{code_addr, code_line, data_offset};
 use crate::front::{LiveFront, Step};
+use crate::pipe::Pipe;
 use cachesim::Access;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tracegen::{addr_word, word_addr, BenchmarkProfile, TraceGenerator, TraceSource};
 
-/// Steps per chunk: the unit a tape grows by and a reader copies.
-const CHUNK: usize = 1024;
+/// Steps per chunk: the unit a tape grows by, a front-end worker sends
+/// and a reader copies.
+pub(crate) const CHUNK: usize = 1024;
 /// Bytes per storage block. Blocks never move, so a tape grows without
 /// copying itself, and they are large: a block's pages become resident
 /// only as steps are written into them, and a freed tape returns its
@@ -61,7 +67,7 @@ const DATA_RAW: u8 = 0x40;
 const WRITE: u8 = 0x80;
 
 /// Append core 0's `step` to `out`.
-fn encode(step: &Step, out: &mut Vec<u8>) {
+pub(crate) fn encode(step: &Step, out: &mut Vec<u8>) {
     let gap = step.insts - 1;
     let mut header = if gap < u64::from(GAP_ESCAPE) {
         gap as u8
@@ -249,14 +255,13 @@ impl StepTape {
 
     /// A reader from the stream's first step, for core `core`.
     pub(crate) fn reader(self: &Arc<Self>, core: usize) -> StepReader {
-        StepReader {
-            tape: self.clone(),
+        StepReader::over(
+            Feed::Tape {
+                tape: self.clone(),
+                chunk: 0,
+            },
             core,
-            chunk: 0,
-            buf: Vec::new(),
-            pos: 0,
-            served: 0,
-        }
+        )
     }
 
     /// The tape's filler. A front end that panicked mid-chunk has moved
@@ -342,39 +347,76 @@ impl fmt::Debug for StepTape {
     }
 }
 
-/// One core's replay of a stream's step tape from its first step.
+/// One core's replay of a stream's steps from its first step: a step
+/// tape's, or the ones its front-end worker makes ahead of it.
 #[derive(Debug)]
 pub struct StepReader {
-    tape: Arc<StepTape>,
+    feed: Feed,
     core: usize,
-    /// The next chunk to copy.
-    chunk: usize,
     /// The current chunk's bytes, decoded up to `pos`.
     buf: Vec<u8>,
     pos: usize,
     served: u64,
 }
 
+/// Where a [`StepReader`]'s chunks come from.
+#[derive(Debug)]
+enum Feed {
+    /// A memo's tape, and the next chunk to copy from it.
+    Tape { tape: Arc<StepTape>, chunk: usize },
+    /// The core's pipe from its front-end worker.
+    Pipe(Pipe),
+}
+
 impl StepReader {
+    fn over(feed: Feed, core: usize) -> Self {
+        StepReader {
+            feed,
+            core,
+            buf: Vec::new(),
+            pos: 0,
+            served: 0,
+        }
+    }
+
+    /// Core `core`'s reader of the chunks its front-end worker sends.
+    pub(crate) fn piped(pipe: Pipe, core: usize) -> Self {
+        Self::over(Feed::Pipe(pipe), core)
+    }
+
     /// The next step, into `step`.
     #[inline]
     pub fn next_step(&mut self, step: &mut Step) {
-        if self.pos == self.buf.len() {
-            self.tape.copy_chunk(self.chunk, &mut self.buf);
-            self.chunk += 1;
-            self.pos = 0;
+        // A worker's chunk may be empty: its stream stopped on the
+        // chunk's first step, and the end follows.
+        while self.pos == self.buf.len() {
+            self.refill();
         }
         self.served += 1;
         decode(&self.buf, &mut self.pos, self.core, step);
+    }
+
+    /// Replace the decoded chunk with the next one.
+    #[cold]
+    fn refill(&mut self) {
+        match &mut self.feed {
+            Feed::Tape { tape, chunk } => {
+                tape.copy_chunk(*chunk, &mut self.buf);
+                *chunk += 1;
+            }
+            Feed::Pipe(pipe) => pipe.next_chunk(&mut self.buf),
+        }
+        self.pos = 0;
     }
 }
 
 impl Drop for StepReader {
     fn drop(&mut self) {
-        self.tape
-            .counters
-            .served
-            .fetch_add(self.served, Ordering::Relaxed);
+        if let Feed::Tape { tape, .. } = &self.feed {
+            tape.counters
+                .served
+                .fetch_add(self.served, Ordering::Relaxed);
+        }
     }
 }
 

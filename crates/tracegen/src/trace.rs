@@ -64,9 +64,12 @@
 //! run ahead of consumption: [`open_sources_with`] a non-zero
 //! [`DecodeOptions::workers`] spawns one pool of decode workers shared by
 //! every [`RecordedThread`], and each reader keeps `workers + 2` of its
-//! chunks in flight on it while the simulator drains records. Results
-//! come back in submission order, so replay is bit-identical to inline
-//! decoding at any worker count.
+//! chunks in flight on it while its caller drains records. Results
+//! come back in submission order, so the records are identical to inline
+//! decoding at any worker count. The simulator does not use this pool:
+//! its decode workers run whole front ends, each pulling its own
+//! [`RecordedThread`] through [`TraceSource::try_next_record`]
+//! (`cmpsim::System::from_trace_scheme`).
 //!
 //! Every length field a reader trusts is capped first: metadata at
 //! [`MAX_META_BYTES`] (mirroring the service protocol's frame cap) and
@@ -182,11 +185,19 @@ impl From<io::Error> for TraceError {
 /// simulator treats sources as infinite streams (the paper keeps finished
 /// threads running so contention stays realistic). A recorded source is
 /// finite: [`TraceInfo::admit`] refuses a replay above the capture's
-/// target, and a stream that still runs dry panics (there is no error
-/// channel here) rather than silently break its bit-fidelity claim.
+/// target, and a stream that still runs dry panics in `next_record`
+/// rather than silently break its bit-fidelity claim.
 pub trait TraceSource: Send + fmt::Debug {
     /// Produce the next memory-access record.
     fn next_record(&mut self) -> MemRecord;
+
+    /// The next record, or the message `next_record` would panic with
+    /// instead: the fallible step a front end running on another thread
+    /// pulls through, so that the stream's end reaches the consuming
+    /// thread as a value. Sources that cannot fail keep this default.
+    fn try_next_record(&mut self) -> Result<MemRecord, String> {
+        Ok(self.next_record())
+    }
 }
 
 impl TraceSource for TraceGenerator {
@@ -815,7 +826,22 @@ impl<R: Read + Seek> TraceReader<R> {
 
     /// Next record of this thread's stream; `Ok(None)` once the header's
     /// record count has been delivered.
+    #[inline]
     pub fn try_next(&mut self) -> Result<Option<MemRecord>, TraceError> {
+        match self.chunk.get(self.chunk_pos) {
+            Some(&rec) if self.delivered < self.total => {
+                self.chunk_pos += 1;
+                self.delivered += 1;
+                Ok(Some(rec))
+            }
+            _ => self.try_next_chunked(),
+        }
+    }
+
+    /// [`TraceReader::try_next`] at the end of the current chunk or of
+    /// the stream.
+    #[cold]
+    fn try_next_chunked(&mut self) -> Result<Option<MemRecord>, TraceError> {
         if self.delivered >= self.total {
             return Ok(None);
         }
@@ -984,18 +1010,40 @@ pub fn scan_stats(path: impl AsRef<Path>) -> Result<(TraceInfo, TraceStats), Tra
 // Replay.
 // ---------------------------------------------------------------------
 
-/// How recorded-trace chunks are decoded during replay.
+/// Where a replay's records are decoded: on the consuming thread, or on
+/// worker threads ahead of it.
+///
+/// In the simulator (`cmpsim::System::from_trace_scheme`) a non-zero
+/// count runs each core's whole front end — chunk decode, fetch
+/// synthesis and the private L1s — on `min(workers, cores)` threads
+/// ahead of the back end. The decode pool behind [`open_sources_with`]
+/// serves only callers that pull records themselves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeOptions {
-    /// Decode worker threads shared by all threads of one container;
-    /// 0 decodes inline on the consuming thread.
+    /// Worker threads of one container's replay; 0 decodes inline on
+    /// the consuming thread.
     pub workers: usize,
 }
 
 impl DecodeOptions {
-    /// Decode with `n` shared worker threads (0 = inline).
+    /// Decode with `n` worker threads (0 = inline).
     pub fn workers(n: usize) -> Self {
         DecodeOptions { workers: n }
+    }
+
+    /// The worker count, or an error above [`MAX_DECODE_WORKERS`]: every
+    /// caller checks it before starting any thread.
+    pub fn checked_workers(&self) -> io::Result<usize> {
+        if self.workers > MAX_DECODE_WORKERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} decode workers requested (cap {MAX_DECODE_WORKERS})",
+                    self.workers
+                ),
+            ));
+        }
+        Ok(self.workers)
     }
 }
 
@@ -1021,15 +1069,10 @@ pub(crate) struct DecodePool {
 }
 
 impl DecodePool {
-    /// Spawn `workers.max(1)` decode threads; a count above
+    /// Spawn `opts.workers.max(1)` decode threads; a count above
     /// [`MAX_DECODE_WORKERS`] is an error before any thread starts.
-    pub(crate) fn new(workers: usize) -> io::Result<Self> {
-        if workers > MAX_DECODE_WORKERS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{workers} decode workers requested (cap {MAX_DECODE_WORKERS})"),
-            ));
-        }
+    pub(crate) fn new(opts: DecodeOptions) -> io::Result<Self> {
+        let workers = opts.checked_workers()?;
         let (tasks, queue) = mpsc::channel();
         let queue = Arc::new(Mutex::new(queue));
         let mut pool = DecodePool {
@@ -1089,6 +1132,8 @@ fn decode_worker(queue: &Mutex<mpsc::Receiver<DecodeTask>>) {
 /// file and thread; that includes a record whose gap exceeds
 /// [`MAX_GAP`], which [`validate_path`] rejects up front. Run
 /// [`validate_path`] first to turn any of these into a readable error.
+/// [`TraceSource::try_next_record`] returns each of these messages
+/// instead of panicking with it.
 #[derive(Debug)]
 pub struct RecordedThread {
     reader: TraceReader<BufReader<File>>,
@@ -1127,32 +1172,24 @@ impl RecordedThread {
         self.reader.info()
     }
 
-    /// [`TraceSource::next_record`] for every step but an in-cap record:
-    /// a panic naming the file (`next_record` has no error channel).
+    /// Why the stream stopped at `step`, which is anything but an
+    /// in-cap record: a message naming the file, the thread and where.
     #[cold]
-    fn next_record_slow(&self, step: Result<Option<MemRecord>, TraceError>) -> ! {
-        let thread = self.reader.thread;
+    fn stop_message(&self, step: Result<Option<MemRecord>, TraceError>) -> String {
+        let (path, thread) = (self.path.display(), self.reader.thread);
         match step {
-            // repolint: allow(panic) — corruption found mid-replay; no Result channel in TraceSource
-            Ok(Some(rec)) => panic!(
-                "recorded trace {} thread {thread} record {} has a gap of {} instructions, \
+            Ok(Some(rec)) => format!(
+                "recorded trace {path} thread {thread} record {} has a gap of {} instructions, \
                  above the cap of {MAX_GAP}",
-                self.path.display(),
                 self.reader.delivered - 1,
                 rec.gap
             ),
-            // repolint: allow(panic) — a stream run dry stops the replay; no Result channel in TraceSource
-            Ok(None) => panic!(
-                "recorded trace {} exhausted for thread {thread} after {} records; \
+            Ok(None) => format!(
+                "recorded trace {path} exhausted for thread {thread} after {} records; \
                  re-record with a larger --insts than the replay needs",
-                self.path.display(),
                 self.reader.delivered
             ),
-            // repolint: allow(panic) — corruption found mid-replay; no Result channel in TraceSource
-            Err(e) => panic!(
-                "recorded trace {} failed for thread {thread}: {e}",
-                self.path.display()
-            ),
+            Err(e) => format!("recorded trace {path} failed for thread {thread}: {e}"),
         }
     }
 }
@@ -1161,7 +1198,17 @@ impl TraceSource for RecordedThread {
     fn next_record(&mut self) -> MemRecord {
         match self.reader.try_next() {
             Ok(Some(rec)) if rec.gap <= MAX_GAP => rec,
-            step => self.next_record_slow(step),
+            // repolint: allow(panic) — a dry or corrupt stream stops the replay; next_record has no error channel
+            step => panic!("{}", self.stop_message(step)),
+        }
+    }
+
+    /// The next record, or why the stream stopped: it ran dry, the next
+    /// record's gap is above [`MAX_GAP`], or its chunk is corrupt.
+    fn try_next_record(&mut self) -> Result<MemRecord, String> {
+        match self.reader.try_next() {
+            Ok(Some(rec)) if rec.gap <= MAX_GAP => Ok(rec),
+            step => Err(self.stop_message(step)),
         }
     }
 }
@@ -1188,7 +1235,7 @@ pub fn open_sources_with(
     let path = path.as_ref();
     let info = load_info(path)?;
     let pool = (opts.workers > 0)
-        .then(|| DecodePool::new(opts.workers).map(Arc::new))
+        .then(|| DecodePool::new(*opts).map(Arc::new))
         .transpose()?;
     // repolint: allow(cap-alloc) — read_info already rejected threads > MAX_TRACE_THREADS
     let mut sources: Vec<Box<dyn TraceSource>> = Vec::with_capacity(info.meta.threads());
@@ -1578,7 +1625,7 @@ mod tests {
     const PLACEMENTS: [usize; 3] = [0, 1, 4];
 
     fn pool(workers: usize) -> Option<Arc<DecodePool>> {
-        (workers > 0).then(|| Arc::new(DecodePool::new(workers).unwrap()))
+        (workers > 0).then(|| Arc::new(DecodePool::new(DecodeOptions::workers(workers)).unwrap()))
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!     --resume sweepd-journals/smoke-2t-job1.journal
 //! ```
 
-use plru_repro::scenario::pool::MAX_POOL_WORKERS;
+use plru_repro::scenario::pool::{panic_message, MAX_POOL_WORKERS};
 use plru_repro::service::{ServerConfig, SweepServer};
 use std::path::PathBuf;
 use std::process::exit;
@@ -84,6 +84,16 @@ fn main() {
     config.resume = resume;
 
     let resumed = config.resume.len();
+    // A failed case reaches its job as an error frame; the daemon's own
+    // log gets one line per panic instead of the default hook's message
+    // and backtrace.
+    std::panic::set_hook(Box::new(|info| {
+        let message = panic_message(info.payload()).replace('\n', " ");
+        match std::thread::current().name() {
+            Some(thread) => eprintln!("sweepd: {thread}: {message}"),
+            None => eprintln!("sweepd: {message}"),
+        }
+    }));
     let server = SweepServer::start(config).unwrap_or_else(|e| fail(e));
     eprintln!(
         "sweepd: listening on {}{}",

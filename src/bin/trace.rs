@@ -43,9 +43,11 @@ fn usage() -> ! {
          \u{20}   validate FILE and run it through the engine. Defaults to\n\
          \u{20}   the recorded insts/seed/salt/scheme, so a bare replay\n\
          \u{20}   reproduces the capture run bit for bit; an --insts above\n\
-         \u{20}   the capture's is refused. --decode-workers\n\
-         \u{20}   (default 2, 0 = inline, at most 64) decodes chunks ahead\n\
-         \u{20}   of the simulation; the result is identical at any count.\n\
+         \u{20}   the capture's is refused. --decode-workers N (default 1,\n\
+         \u{20}   at most 64) runs the cores' front ends (chunk decode,\n\
+         \u{20}   fetch synthesis, private L1s) on min(N, cores) threads\n\
+         \u{20}   ahead of the simulation, 0 inline; the result is\n\
+         \u{20}   identical at any count.\n\
          \n\
          trace info FILE [--json]\n\
          \u{20}   validate FILE as replay does and print the container\n\
@@ -232,13 +234,16 @@ fn cmd_replay(args: &[String]) {
         .unwrap_or_else(|| "L".to_string());
     let seed = p.get_u64("seed").unwrap_or(meta.seed);
     let salt = p.get_u64("salt").unwrap_or(meta.seed_salt);
-    // Decode ahead of the simulation by default; 0 decodes each chunk
-    // inline. Either way the result is bit-identical.
-    let decode_workers = p.get_u64("decode-workers").unwrap_or(2) as usize;
+    // Run the front ends on one worker ahead of the simulation by
+    // default (a second one won 5 of 10 alternating whole replays of a
+    // 4-thread capture); 0 runs them inline. Either way the result is
+    // bit-identical.
+    let decode_workers = p.get_u64("decode-workers").unwrap_or(1) as usize;
     let engine = engine_for(&scheme, meta.threads(), insts, seed, salt, decode_workers);
-    // A recorded stream that runs dry panics inside the library (a
-    // `TraceSource` has no error channel); it is reported as one line.
-    // The silent hook keeps the default one from printing it first.
+    // A recorded stream that runs dry panics the simulating thread
+    // inside the library, whether its front end runs there or on a
+    // worker; it is reported as one line. The silent hook keeps the
+    // default one from printing it first.
     std::panic::set_hook(Box::new(|_| {}));
     let run = catch_unwind(AssertUnwindSafe(|| engine.run_trace(path)));
     drop(std::panic::take_hook());

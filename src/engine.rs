@@ -162,10 +162,12 @@ impl SimEngineBuilder {
         self
     }
 
-    /// Decode trace-replay chunks ahead of consumption on `n` shared
-    /// worker threads (0, the default, decodes inline). Replay output is
-    /// identical at any worker count; this only moves the decode work
-    /// off the simulation thread.
+    /// Run a trace replay's front ends — chunk decode, fetch synthesis
+    /// and the private L1s — on `min(n, cores)` worker threads ahead of
+    /// the back end (0, the default, runs them inline on the simulating
+    /// thread). Replay output is identical at any worker count; this only
+    /// moves the front-end work off the simulating thread. Live runs
+    /// ignore it.
     pub fn decode_workers(mut self, n: usize) -> Self {
         self.decode_workers = n;
         self
@@ -400,8 +402,9 @@ impl SimEngine {
     ///
     /// With the same machine, scheme, seed and salt as the capture run,
     /// the result is bit-identical to the live run the trace recorded. A
-    /// recorded stream that runs dry panics mid-run
-    /// ([`tracegen::trace::RecordedThread`] has the details).
+    /// recorded stream that runs dry panics mid-run, on the calling
+    /// thread at any worker count ([`tracegen::trace::RecordedThread`]
+    /// has the details).
     pub fn run_trace(&self, path: impl AsRef<Path>) -> Result<SimResult, TraceError> {
         Ok(self.system_from_trace(path)?.run())
     }

@@ -545,7 +545,7 @@ fn collect(
             }
             CaseOutcome::Skipped { .. } => {}
             CaseOutcome::Failed { index, message } => {
-                failure.get_or_insert_with(|| format!("case {index} panicked: {message}"));
+                failure.get_or_insert_with(|| format!("case {index} failed: {message}"));
             }
         }
     }

@@ -4,7 +4,7 @@
 //! must fail usably without a daemon.
 
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 fn sweep_bin() -> Command {
@@ -41,6 +41,11 @@ impl Drop for DaemonGuard {
 
 /// Start `sweepd` and wait for its socket to accept connections.
 fn start_daemon(dir: &Path, extra: &[&str]) -> (DaemonGuard, PathBuf) {
+    start_daemon_with(dir, extra, Stdio::inherit())
+}
+
+/// [`start_daemon`] with the daemon's stderr sent to `stderr`.
+fn start_daemon_with(dir: &Path, extra: &[&str], stderr: Stdio) -> (DaemonGuard, PathBuf) {
     let socket = dir.join("sweepd.sock");
     let child = sweepd_bin()
         .args([
@@ -52,6 +57,7 @@ fn start_daemon(dir: &Path, extra: &[&str]) -> (DaemonGuard, PathBuf) {
             dir.join("journals").to_str().unwrap(),
         ])
         .args(extra)
+        .stderr(stderr)
         .spawn()
         .expect("sweepd spawns");
     let guard = DaemonGuard(child);
@@ -279,4 +285,68 @@ fn sweep_threads_above_the_cap_fail_before_any_worker_starts() {
         )
     );
     assert!(stdout(&out).is_empty(), "a refused sweep prints no table");
+}
+
+#[test]
+fn a_failed_remote_case_is_one_line_at_the_client_and_the_daemon() {
+    // A recorded stream that runs dry: the header admits a 20k replay,
+    // but each thread holds only 300 records.
+    use plru_repro::tracegen::trace::{TraceMeta, TraceWriter};
+    use plru_repro::tracegen::{benchmark, TraceGenerator};
+
+    let dir = scratch("dry");
+    let trace = dir.join("dry.pltc");
+    let meta = TraceMeta {
+        workload: "gzip+eon".into(),
+        benchmarks: vec!["gzip".into(), "eon".into()],
+        seed: 1,
+        seed_salt: 0,
+        insts: 20_000,
+        scheme: Some("L".into()),
+    };
+    let mut w = TraceWriter::create(std::fs::File::create(&trace).unwrap(), &meta).unwrap();
+    for (t, name) in ["gzip", "eon"].iter().enumerate() {
+        let mut g = TraceGenerator::new(benchmark(name).unwrap(), 7 + t as u64);
+        for _ in 0..300 {
+            w.push(t, g.next_record()).unwrap();
+        }
+    }
+    w.finish().unwrap();
+    let spec = dir.join("dry.json");
+    std::fs::write(
+        &spec,
+        format!(
+            r#"{{"name": "dry", "insts": 20000,
+                 "workloads": [{{"recorded": "{}"}}], "schemes": ["L"]}}"#,
+            trace.display()
+        ),
+    )
+    .unwrap();
+
+    let log = dir.join("sweepd.err");
+    let stderr_file = std::fs::File::create(&log).unwrap();
+    let (_daemon, socket) = start_daemon_with(&dir, &[], stderr_file.into());
+    let out = sweep_bin()
+        .args(["--remote", socket.to_str().unwrap(), spec.to_str().unwrap()])
+        .output()
+        .unwrap();
+    shutdown(&socket);
+    std::thread::sleep(Duration::from_millis(300));
+
+    let dry = "after 300 records";
+    let client = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{client}");
+    assert!(stdout(&out).is_empty(), "{client}");
+    let failures: Vec<&str> = client.lines().filter(|l| l.contains(dry)).collect();
+    assert_eq!(failures.len(), 1, "{client}");
+    assert!(
+        failures[0].starts_with("sweep: ") && failures[0].contains("case 0 failed: recorded trace"),
+        "{client}"
+    );
+    let daemon = std::fs::read_to_string(&log).unwrap();
+    let panics: Vec<&str> = daemon.lines().filter(|l| l.contains(dry)).collect();
+    assert_eq!(panics.len(), 1, "{daemon}");
+    assert!(panics[0].starts_with("sweepd: "), "{daemon}");
+    assert!(!daemon.contains("panicked at"), "{daemon}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -356,15 +356,26 @@ fn assert_one_line_failure(out: &Output, prefix: &str, needle: &str) {
 #[test]
 fn a_replay_that_runs_a_stream_dry_fails_with_one_line() {
     // The header admits a 20k-instruction replay, but 300 records per
-    // thread run out long before it.
+    // thread run out long before it. The front ends run inline or on a
+    // worker ahead of the back end; either way the line is the same.
     let trace = short_container("plru_cli_dry.pltc", 20_000, 300);
     let spec = recorded_spec("plru_cli_dry_spec.json", &trace, 20_000);
-    let replay = run(trace_bin().args(["replay", trace.to_str().unwrap()]));
+    let replay = ["0", "1"].map(|workers| {
+        run(trace_bin().args([
+            "replay",
+            trace.to_str().unwrap(),
+            "--decode-workers",
+            workers,
+        ]))
+    });
     let sweep = run(sweep_bin().arg(spec.to_str().unwrap()));
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&spec);
     let dry = "after 300 records";
-    assert_one_line_failure(&replay, "trace: recorded trace ", dry);
+    for out in &replay {
+        assert_one_line_failure(out, "trace: recorded trace ", dry);
+    }
+    assert_eq!(stderr(&replay[0]), stderr(&replay[1]), "0 and 1 workers");
     assert_one_line_failure(&sweep, "sweep: case 0 failed: recorded trace ", dry);
 }
 

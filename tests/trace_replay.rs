@@ -120,26 +120,35 @@ fn recording_at_a_zero_target_is_an_error() {
 
 #[test]
 fn v2_replay_is_bit_identical_to_v1_and_live_at_any_worker_count() {
-    // The tentpole acceptance check: a dict-compressed v2 container must
-    // replay to the exact SimResult of both the v1 container and live
-    // synthesis, whether decoded inline (0 workers) or on a pool of
-    // decode workers (1 and 4).
+    // The tentpole acceptance check: a dict-compressed v2 capture of a
+    // 4-thread workload must replay to the exact SimResult of the v1
+    // capture and of live synthesis under every scheme perfbench's
+    // `trace_rr` replays, whether the front ends run inline (0 workers)
+    // or ahead on front-end workers: fewer threads than cores, as many,
+    // and more workers than cores (8, which runs 4 threads).
     use plru_repro::tracegen::trace::Compression;
 
-    let wl = workload("2T_02").unwrap();
-    let engine = SimEngine::builder()
-        .cores(2)
-        .insts(30_000)
-        .scheme(Scheme::partitioned(CpaConfig::m_nru(0.75)).unwrap())
-        .build();
+    const SCHEMES: [&str; 6] = ["M-L", "L", "N", "M-0.75N", "BT", "M-BT"];
+    const INSTS: u64 = 24_000;
+    let wl = workload("4T_01").unwrap();
+    // A short repartition interval, so the CPA schemes repartition
+    // within these short runs.
+    let engine = |scheme: &str, insts: u64, workers: usize| {
+        let scheme: Scheme = scheme.parse().unwrap();
+        SimEngine::builder()
+            .cores(4)
+            .insts(insts)
+            .scheme(scheme.with_interval_cycles(Some(100_000)))
+            .decode_workers(workers)
+            .build()
+    };
     let v1 = tmp("plru_replay_v1_twin.pltc");
     let v2 = tmp("plru_replay_v2_twin.pltc");
-
-    let live = engine.run(&wl);
-    engine
+    let capture = engine(SCHEMES[0], INSTS, 0);
+    capture
         .record_trace_with(&wl, &v1, Compression::None)
         .unwrap();
-    engine
+    capture
         .record_trace_with(&wl, &v2, Compression::Dict)
         .unwrap();
     assert!(
@@ -147,31 +156,104 @@ fn v2_replay_is_bit_identical_to_v1_and_live_at_any_worker_count() {
         "dict compression must shrink the captured container"
     );
 
-    let v1_result = engine.run_trace(&v1).unwrap();
-    assert_eq!(result_json(&v1_result), result_json(&live));
-    for workers in [0usize, 1, 4] {
-        let e = SimEngine::builder()
-            .cores(2)
-            .insts(30_000)
-            .scheme(Scheme::partitioned(CpaConfig::m_nru(0.75)).unwrap())
-            .decode_workers(workers)
-            .build();
-        let replayed = e.run_trace(&v2).unwrap();
-        assert_eq!(
-            result_json(&replayed),
-            result_json(&live),
-            "v2 replay at {workers} decode workers drifted from live"
-        );
+    for (k, scheme) in SCHEMES.iter().enumerate() {
+        // The capture's scheme replays at the capture's target; the
+        // others at two thirds of it, as `trace_rr` does, so that none of
+        // their streams runs dry.
+        let insts = if k == 0 { INSTS } else { INSTS * 2 / 3 };
+        let live = engine(scheme, insts, 0).run(&wl);
+        if k == 0 {
+            assert!(live.intervals > 0, "the CPA must actually repartition");
+        }
+        let v1_result = engine(scheme, insts, 0).run_trace(&v1).unwrap();
+        assert_eq!(result_json(&v1_result), result_json(&live), "{scheme}: v1");
+        for workers in [0usize, 1, 2, 8] {
+            let replayed = engine(scheme, insts, workers).run_trace(&v2).unwrap();
+            assert_eq!(
+                result_json(&replayed),
+                result_json(&live),
+                "{scheme}: v2 replay at {workers} decode workers drifted from live"
+            );
+        }
     }
     let _ = std::fs::remove_file(&v1);
     let _ = std::fs::remove_file(&v2);
 }
 
 #[test]
+fn read_ahead_never_fails_a_replay_that_stops_short_of_a_corrupt_chunk() {
+    // One flipped byte at the start of thread 0's second dict-coded
+    // payload in the shipped v2 fixture (2T_06, captured to 20k). At 8k
+    // instructions thread 0 consumes 2355 of its records, all of them in
+    // its first 4096-record chunk, so the replay must succeed whether the
+    // front ends run inline or on a worker, which reads a few 1024-step
+    // chunks ahead and so decodes the corrupt one. The full-length replay
+    // needs that chunk and fails with the same message at either
+    // placement.
+    use plru_repro::tracegen::trace::CODEC_DICT;
+
+    let mut bytes = std::fs::read("scenarios/traces/smoke_2T_06_v2.pltc").unwrap();
+    let mut cur = std::io::Cursor::new(&bytes);
+    trace::read_info(&mut cur).unwrap();
+    let mut at = cur.position() as usize;
+    let field = |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    // v2 chunk header: thread u32 | records u32 | codec u8 | raw_len u32
+    // | payload_len u32.
+    let mut dict_chunks = 0;
+    loop {
+        if field(&bytes, at) == 0 && bytes[at + 8] == CODEC_DICT {
+            dict_chunks += 1;
+            if dict_chunks == 2 {
+                break;
+            }
+        }
+        at += 17 + field(&bytes, at + 13) as usize;
+    }
+    bytes[at + 17] ^= 0xff;
+    let path = tmp("plru_replay_corrupt_ahead.pltc");
+    std::fs::write(&path, &bytes).unwrap();
+
+    let engine = |insts: u64, workers: usize| {
+        SimEngine::builder()
+            .cores(2)
+            .insts(insts)
+            .decode_workers(workers)
+            .build()
+    };
+    let live = engine(8_000, 0).run(&workload("2T_06").unwrap());
+    let mut failures = Vec::new();
+    for workers in [0usize, 1] {
+        let short = engine(8_000, workers).run_trace(&path).unwrap();
+        assert_eq!(
+            result_json(&short),
+            result_json(&live),
+            "{workers} workers: a replay short of the corrupt chunk must run"
+        );
+        // A system built and dropped unrun joins its idle workers.
+        drop(engine(20_000, workers).system_from_trace(&path).unwrap());
+        let full = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine(20_000, workers).run_trace(&path)
+        }));
+        let Err(panic) = full else {
+            panic!("a replay through the corrupt chunk ran at {workers} workers");
+        };
+        failures.push(panic.downcast_ref::<String>().cloned().unwrap_or_default());
+    }
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        failures[0].contains("failed for thread 0"),
+        "{}",
+        failures[0]
+    );
+    assert_eq!(failures[0], failures[1], "both placements report alike");
+}
+
+#[test]
 fn replay_refuses_a_gap_above_the_generator_cap() {
     // `validate_path` rejects such a container up front, but the library
     // replay path reads only the header; the source itself must refuse
-    // the record, at either decode placement, naming where it sits.
+    // the record, with the front end inline or on a worker (2 workers
+    // run one thread for this one core), naming where it sits.
     use plru_repro::tracegen::trace::{TraceMeta, TraceWriter};
     use plru_repro::tracegen::{MemRecord, MAX_GAP};
 
@@ -196,7 +278,7 @@ fn replay_refuses_a_gap_above_the_generator_cap() {
     }
     w.finish().unwrap();
 
-    for workers in [0usize, 1] {
+    for workers in [0usize, 1, 2] {
         let engine = SimEngine::builder()
             .cores(1)
             .insts(2_000)
