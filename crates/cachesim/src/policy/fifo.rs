@@ -56,7 +56,12 @@ impl Fifo {
         } else {
             allowed.0.trailing_zeros() as usize
         };
-        self.ptr[set] = ((way + 1) % self.assoc) as u8;
+        debug_assert!(way < self.assoc, "allowed ways lie below the associativity");
+        self.ptr[set] = if way + 1 == self.assoc {
+            0
+        } else {
+            way as u8 + 1
+        };
         way
     }
 

@@ -20,7 +20,7 @@ use crate::mask::WayMask;
 pub struct Nru {
     /// One u32 bitset of used bits per set.
     used: Vec<u32>,
-    /// The cache-global replacement pointer (a way index).
+    /// The cache-global replacement pointer (a way index, below `assoc`).
     pointer: usize,
     assoc: usize,
     /// Number of times victim search found every allowed used bit set and
@@ -107,9 +107,9 @@ impl Nru {
         // land back on their own way index mod 32.
         let cand = allowed_bits & !self.used[set];
         debug_assert!(cand != 0, "forced clear guarantees a candidate");
-        let ptr = (self.pointer % self.assoc) as u32;
+        let ptr = self.pointer as u32;
         let way = ((ptr + cand.rotate_right(ptr).trailing_zeros()) & 31) as usize;
-        self.pointer = (way + 1) % self.assoc;
+        self.pointer = if way + 1 == self.assoc { 0 } else { way + 1 };
         way
     }
 

@@ -161,6 +161,7 @@ impl CoreModel {
 impl<F> CoreModel<F> {
     /// A core at cycle 0 running `profile`'s timing model over `front`.
     pub fn with_front(profile: &BenchmarkProfile, front: F) -> Self {
+        debug_assert!(profile.base_cpi >= 0.0, "a negative base CPI");
         CoreModel {
             front,
             benchmark: profile.name.clone(),
@@ -179,11 +180,16 @@ impl<F> CoreModel<F> {
 
     /// Charge the base (non-memory) cycles for `insts` instructions,
     /// returning the whole-cycle amount.
+    ///
+    /// With a non-negative CPI the carried fraction stays in `[0, 1)`, so
+    /// the whole part converts through `i64`, to the value `u64` gives:
+    /// x86-64 converts `i64` in one instruction each way, `u64` in a
+    /// branchy sequence, and this sits on the chain of a core's steps.
     pub fn charge_base(&mut self, insts: u64) -> u64 {
         self.frac += insts as f64 * self.base_cpi;
-        let whole = self.frac as u64;
+        let whole = self.frac as i64;
         self.frac -= whole as f64;
-        whole
+        whole as u64
     }
 
     /// Has this core committed its target?
@@ -235,6 +241,29 @@ mod tests {
         let mut c = core(); // gzip base_cpi = 0.50
         let total: u64 = (0..100).map(|_| c.charge_base(1)).sum();
         assert_eq!(total, 50, "100 insts at CPI 0.5 = 50 cycles");
+    }
+
+    #[test]
+    fn base_charge_converts_as_the_unsigned_charge_did() {
+        // The signed conversion must give every charge the unsigned one
+        // gave, at every profile's CPI and at gaps up to the largest.
+        for name in tracegen::benchmark_names() {
+            let mut c = core();
+            c.base_cpi = benchmark(name).unwrap().base_cpi;
+            let mut frac = 0.0f64;
+            let mut x = 1u64;
+            for _ in 0..20_000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let insts = 1 + (x >> 33) % if x & 1 == 0 { 16 } else { 1 << 20 };
+                frac += insts as f64 * c.base_cpi;
+                let whole = frac as u64;
+                frac -= whole as f64;
+                assert_eq!(c.charge_base(insts), whole, "{name}");
+                assert_eq!(c.frac.to_bits(), frac.to_bits(), "{name}");
+            }
+        }
     }
 
     #[test]

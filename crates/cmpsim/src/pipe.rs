@@ -21,8 +21,9 @@
 //! the fallible step ([`TraceSource::try_next_record`]), so a stream that
 //! ran dry, a gap above the cap or a corrupt chunk follows the core's
 //! last steps as an end marker. The marker carries the message the
-//! source would have panicked with, and the reader panics with it on the
-//! simulating thread, only when its core needs that step. A worker
+//! source would have panicked with. The reader hands it to `System::run`
+//! on the simulating thread, which panics with it only when its core's
+//! turn for that step comes. A worker
 //! returns once every reader of its cores is gone, and the last of them
 //! to drop joins it, so dropping the `System` that owns the readers joins
 //! its workers.
@@ -60,9 +61,9 @@ pub(crate) struct Pipe {
 
 impl Pipe {
     /// Hand `buf`, decoded, back to the worker and take the core's next
-    /// chunk in its place. Panics with the source's message at the end
-    /// of a stopped stream.
-    pub(crate) fn next_chunk(&mut self, buf: &mut Vec<u8>) {
+    /// chunk in its place; at the end of a stopped stream, the source's
+    /// message instead.
+    pub(crate) fn next_chunk(&mut self, buf: &mut Vec<u8>) -> Result<(), String> {
         if !self.started {
             self.started = true;
             for _ in 1..AHEAD {
@@ -72,10 +73,10 @@ impl Pipe {
         }
         let _ = self.spent.send((self.lane, std::mem::take(buf)));
         match self.chunks.recv() {
-            Ok(Ok(chunk)) => *buf = chunk,
-            Ok(Err(stop)) => panic!("{stop}"),
-            Err(_) => panic!("a front-end worker stopped before its stream ended"),
+            Ok(chunk) => *buf = chunk?,
+            Err(_) => return Err("a front-end worker stopped before its stream ended".into()),
         }
+        Ok(())
     }
 }
 

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use tracegen::{BenchmarkProfile, TraceGenerator};
+use tracegen::BenchmarkProfile;
 
 /// Parallel map over `items`, preserving order. Work is distributed by an
 /// atomic cursor so uneven item costs (8-thread runs take 4x the work of
@@ -296,8 +296,9 @@ pub struct StreamStats {
 /// [`release`](StreamCache::release)s them when it ends; the first
 /// [`front`](StreamCache::front) of a pinned key creates the tape,
 /// and the last release drops it. An unpinned key gets a live front end
-/// over a plain [`TraceGenerator`], as if there were no memo. Either way
-/// the core takes the same steps, so the memo changes no result.
+/// over a plain [`TraceGenerator`](tracegen::TraceGenerator), as if
+/// there were no memo. Either way the core takes the same steps, so the
+/// memo changes no result.
 ///
 /// ```
 /// use cmpsim::front::Step;
@@ -391,10 +392,7 @@ impl StreamCache {
         });
         match tape {
             Some(tape) if tape.has_profile(profile) => Front::Taped(tape.reader(core)),
-            _ => {
-                let source = Box::new(TraceGenerator::new(profile.clone(), key.seed));
-                Front::live(core, profile, source, cfg)
-            }
+            _ => Front::generated(core, profile, key.seed, cfg),
         }
     }
 

@@ -3,8 +3,11 @@
 //! [`System::run`] is one loop over steps (see [`crate::front`]): the
 //! core with the smallest clock takes its next step from its front end,
 //! and the back end — the shared L2, the controller and the clocks —
-//! charges it. A replay with decode workers runs the front ends on those
-//! workers, ahead of the loop, which then runs only the back end.
+//! charges it. The core then takes, in the same turn, its following
+//! steps that reach no L2: they touch nothing shared, so only their own
+//! core's clock orders them. A replay with decode workers runs the front
+//! ends on those workers, ahead of the loop, which then runs only the
+//! back end.
 
 use crate::config::MachineConfig;
 use crate::core_model::CoreModel;
@@ -15,7 +18,7 @@ use plru_core::{CpaController, Scheme};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use tracegen::trace::{self, TraceError};
-use tracegen::{BenchmarkProfile, TraceGenerator, TraceSource, Workload};
+use tracegen::{BenchmarkProfile, TraceSource, Workload};
 
 /// Per-core outcome of a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,8 +84,19 @@ pub struct System {
     /// Per-core L2 miss counts at the previous interval boundary (the
     /// controller's adaptive-scale feedback).
     last_misses: Vec<u64>,
-    /// The step being charged, reused across steps.
+    /// Each core's next step, reused across steps.
+    next: Vec<Next>,
+}
+
+/// One core's next step, when its front end made it before the core's
+/// turn: the step that ended the core's run ahead.
+#[derive(Debug, Default)]
+struct Next {
     step: Step,
+    /// `Some` once the step is made: `Ok` with it in `step`, or why the
+    /// core's stream stopped. Raised at the core's turn, so the first
+    /// stop in simulated-time order is the one reported.
+    made: Option<Result<(), String>>,
 }
 
 impl System {
@@ -105,17 +119,12 @@ impl System {
         scheme: &Scheme,
         seed_salt: u64,
     ) -> Self {
-        let sources: Vec<Box<dyn TraceSource>> = profiles
+        let fronts = profiles
             .iter()
             .enumerate()
-            .map(|(i, p)| {
-                Box::new(TraceGenerator::new(
-                    p.clone(),
-                    Self::thread_seed(cfg, i, seed_salt),
-                )) as Box<dyn TraceSource>
-            })
+            .map(|(i, p)| Front::generated(i, p, Self::thread_seed(cfg, i, seed_salt), cfg))
             .collect();
-        Self::from_sources_scheme(cfg, profiles, sources, scheme, seed_salt)
+        Self::from_fronts_scheme(cfg, profiles, fronts, scheme, seed_salt)
     }
 
     /// Build a system over explicit per-core [`TraceSource`]s — the
@@ -186,7 +195,7 @@ impl System {
             controller,
             next_interval,
             intervals: 0,
-            step: Step::default(),
+            next: (0..cfg.num_cores).map(|_| Next::default()).collect(),
         }
     }
 
@@ -258,21 +267,48 @@ impl System {
     /// Run to completion: every core commits `insts_target` instructions;
     /// finished cores keep executing (keeping contention realistic) until
     /// the last core freezes.
+    ///
+    /// Each turn goes to the core with the smallest `(cycle, core)` key,
+    /// so L2 accesses interleave in simulated-time order. After charging
+    /// its step the core runs ahead: it takes its following steps that
+    /// reach no L2 (no L1I-miss line, no L1D miss) in the same turn, and
+    /// the first step that does reach the L2 waits for the core's next
+    /// turn. The result is bit-identical to taking one step per turn, and
+    /// every core pulls exactly the records it would, because a core runs
+    /// ahead only
+    ///
+    /// 1. while its clock is below the next interval boundary, so every
+    ///    boundary still falls on a step taken in a turn;
+    /// 2. once frozen, while its key is below the largest key any core
+    ///    has held unfrozen: the run ends at a freeze no earlier than
+    ///    that, so every such step runs.
+    ///
+    /// The run ends when every core froze and every key has reached that
+    /// largest key, which is then the last freezing step's: a core that
+    /// froze ahead of its turn leaves the others' steps below its freeze
+    /// to run. A stream that stops while its core runs ahead panics at
+    /// that core's turn, so the first stop in key order is the one
+    /// reported.
     pub fn run(&mut self) -> SimResult {
         let target = self.cfg.insts_target;
         let lat = self.cfg.latencies;
         let n = self.cores.len();
         let mut frozen: Vec<Option<CoreResult>> = vec![None; n];
         let mut done = 0usize;
-        let step = &mut self.step;
+        // The largest `(cycle, core)` key any core has held while
+        // unfrozen, its freezing step's included.
+        let mut reach = (0u64, 0usize);
 
-        while done < n {
+        loop {
             // Advance the core with the smallest local clock: simulated
             // time order, so L2 interleaving is realistic.
             let c = (0..n)
                 .min_by_key(|&i| self.cores[i].cycle)
                 .expect("at least one core");
             let now = self.cores[c].cycle;
+            if done == n && (now, c) >= reach {
+                break;
+            }
 
             // Interval boundary?
             if now >= self.next_interval {
@@ -293,7 +329,13 @@ impl System {
             }
 
             let core = &mut self.cores[c];
-            core.front.next_step(step);
+            let Next { step, made } = &mut self.next[c];
+            if let Err(stop) = made
+                .take()
+                .unwrap_or_else(|| core.front.try_next_step(step))
+            {
+                panic!("{stop}");
+            }
             let mut latency = core.charge_base(step.insts);
 
             // The step's L1 misses reach the L2 in stream order: the fetch
@@ -313,22 +355,46 @@ impl System {
             let misses = &mut self.l1_misses[c];
             misses.0 += step.fetch.len() as u64;
             misses.1 += u64::from(step.data.is_some());
-            core.cycle += latency;
-            core.insts += step.insts;
-            if !core.finished() {
-                core.maybe_finish(target);
-                if core.finished() {
-                    let l2 = self.l2.stats().core(c);
-                    frozen[c] = Some(CoreResult {
-                        insts: target,
-                        cycles: core.finish_cycle.expect("just finished"),
-                        ipc: core.ipc(target),
-                        l2_accesses: l2.accesses,
-                        l2_misses: l2.misses,
-                        l1d_misses: misses.1,
-                        l1i_misses: misses.0,
-                    });
-                    done += 1;
+
+            // Charge the step, then each one the core runs ahead to.
+            loop {
+                let key = (core.cycle, c);
+                core.cycle += latency;
+                core.insts += step.insts;
+                if !core.finished() {
+                    core.maybe_finish(target);
+                    if core.finished() {
+                        let l2 = self.l2.stats().core(c);
+                        frozen[c] = Some(CoreResult {
+                            insts: target,
+                            cycles: core.finish_cycle.expect("just finished"),
+                            ipc: core.ipc(target),
+                            l2_accesses: l2.accesses,
+                            l2_misses: l2.misses,
+                            l1d_misses: misses.1,
+                            l1i_misses: misses.0,
+                        });
+                        done += 1;
+                        reach = reach.max(key);
+                    } else {
+                        reach = reach.max((core.cycle, c));
+                    }
+                }
+                // Run ahead under the two rules above. A step that reaches
+                // the L2, or the stop of the core's stream, waits for the
+                // core's next turn.
+                let key = (core.cycle, c);
+                if key.0 >= self.next_interval || core.finished() && key >= reach {
+                    break;
+                }
+                match core.front.try_next_step(step) {
+                    Ok(()) if step.fetch.is_empty() && step.data.is_none() => {
+                        latency = core.charge_base(step.insts);
+                    }
+                    next => {
+                        *made = Some(next);
+                        break;
+                    }
                 }
             }
         }
@@ -369,7 +435,7 @@ mod tests {
     use cachesim::PolicyKind;
     use plru_core::CpaConfig;
     use tracegen::trace::DecodeOptions;
-    use tracegen::workload;
+    use tracegen::{workload, TraceGenerator};
 
     fn quick_cfg(cores: usize) -> MachineConfig {
         let mut cfg = MachineConfig::paper_baseline(cores);

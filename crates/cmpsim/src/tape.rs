@@ -384,29 +384,40 @@ impl StepReader {
         Self::over(Feed::Pipe(pipe), core)
     }
 
-    /// The next step, into `step`.
+    /// The next step, into `step`. Panics where the stream stopped.
     #[inline]
     pub fn next_step(&mut self, step: &mut Step) {
+        if let Err(stop) = self.try_next_step(step) {
+            panic!("{stop}");
+        }
+    }
+
+    /// [`StepReader::next_step`], or why a front-end worker's stream
+    /// stopped in place of the panic.
+    #[inline]
+    pub(crate) fn try_next_step(&mut self, step: &mut Step) -> Result<(), String> {
         // A worker's chunk may be empty: its stream stopped on the
         // chunk's first step, and the end follows.
         while self.pos == self.buf.len() {
-            self.refill();
+            self.refill()?;
         }
         self.served += 1;
         decode(&self.buf, &mut self.pos, self.core, step);
+        Ok(())
     }
 
     /// Replace the decoded chunk with the next one.
     #[cold]
-    fn refill(&mut self) {
+    fn refill(&mut self) -> Result<(), String> {
         match &mut self.feed {
             Feed::Tape { tape, chunk } => {
                 tape.copy_chunk(*chunk, &mut self.buf);
                 *chunk += 1;
             }
-            Feed::Pipe(pipe) => pipe.next_chunk(&mut self.buf),
+            Feed::Pipe(pipe) => pipe.next_chunk(&mut self.buf)?,
         }
         self.pos = 0;
+        Ok(())
     }
 }
 

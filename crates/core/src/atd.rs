@@ -62,8 +62,10 @@ impl AtdTags {
     /// Build an ATD for a cache of shape `geom`, sampling one in
     /// `sample_ratio` sets (`sample_ratio = 1` = full ATD), at the given
     /// tag-store fidelity. Returns a one-line error for an unsupported
-    /// fingerprint width or a ratio that leaves no sampled set, so
-    /// config parsing can surface it instead of panicking.
+    /// fingerprint width, or a ratio that leaves no sampled set or does
+    /// not divide the set count (the sampled sets are the multiples of
+    /// the ratio, so the top one would have no row), so config parsing
+    /// can surface it instead of panicking.
     pub fn new(
         geom: CacheGeometry,
         sample_ratio: usize,
@@ -80,6 +82,14 @@ impl AtdTags {
                 reason: format!(
                     "ATD sample ratio {sample_ratio} leaves no sampled set \
                      ({} sets)",
+                    geom.num_sets()
+                ),
+            });
+        }
+        if !geom.num_sets().is_multiple_of(sample_ratio) {
+            return Err(CacheError::BadGeometry {
+                reason: format!(
+                    "ATD sample ratio {sample_ratio} does not divide the {} sets",
                     geom.num_sets()
                 ),
             });
@@ -217,6 +227,22 @@ mod tests {
     fn sampling_keeps_one_in_thirty_two_sets() {
         let atd = AtdTags::new(l2_geom(), 32, EXACT).unwrap();
         assert_eq!(atd.sampled_sets(), 32);
+    }
+
+    #[test]
+    fn a_ratio_that_does_not_divide_the_sets_is_rejected() {
+        // 1024 sets: the multiples of 3 run to set 1023, one past the 341
+        // rows that 1024 / 3 would keep.
+        let geom = CacheGeometry::new(1024 * 1024, 8, 128).unwrap();
+        for fidelity in FIDELITIES {
+            let err = AtdTags::new(geom, 3, fidelity).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                "bad cache geometry: ATD sample ratio 3 does not divide the 1024 sets"
+            );
+            let atd = AtdTags::new(geom, 4, fidelity).unwrap();
+            assert_eq!(atd.sampled_set(1020 << 7), Some(atd.sampled_sets() - 1));
+        }
     }
 
     #[test]

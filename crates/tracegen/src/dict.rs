@@ -30,6 +30,7 @@
 //! more.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum symbols per table: codes `0..=253`; `0xFF` is the escape and
 /// `254..=0xFE` are never valid (corruption detection).
@@ -69,23 +70,55 @@ fn pack2(a: &[u8], b: &[u8]) -> u128 {
     (((a.len() + b.len()) as u128) << 64) | u128::from(u64::from_le_bytes(bytes))
 }
 
+/// The training counts' hasher: one folded multiply of a packed symbol.
+/// Selection never reads the map's order, so the hash only sets speed.
+/// The keys come from chunk payloads the writer encoded from its own
+/// records, never from outside input, so a fixed hash needs no defence
+/// against keys crafted to collide.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write_u128(&mut self, key: u128) {
+        let word = (key as u64) ^ ((key >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let product = u128::from(word) * 0xA076_1D64_78BD_642F;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u128(u128::from(self.0) << 8 | u128::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Greedy longest-match lookup over a symbol table: 256 first-byte
 /// buckets, each sorted longest symbol first (ties by code, so matching
 /// is deterministic).
 struct Lookup {
-    /// `(symbol bytes, length, code)` per bucket.
-    buckets: Vec<Vec<([u8; 8], usize, u8)>>,
+    /// `(symbol word, mask of its length, length, code)` per bucket: a
+    /// symbol matches where the input's next 8 bytes, masked, equal its
+    /// little-endian word.
+    buckets: Vec<Vec<(u64, u64, usize, u8)>>,
 }
 
 impl Lookup {
     fn new(table: &[([u8; 8], usize)]) -> Self {
-        let mut buckets: Vec<Vec<([u8; 8], usize, u8)>> = vec![Vec::new(); 256];
+        let mut buckets: Vec<Vec<(u64, u64, usize, u8)>> = vec![Vec::new(); 256];
         for (code, &(bytes, len)) in table.iter().enumerate() {
+            let mask = u64::MAX >> (64 - 8 * len);
+            let word = u64::from_le_bytes(bytes) & mask;
             // repolint: allow(panic) — buckets has 256 entries; a u8 index cannot miss
-            buckets[bytes[0] as usize].push((bytes, len, code as u8));
+            buckets[bytes[0] as usize].push((word, mask, len, code as u8));
         }
         for b in &mut buckets {
-            b.sort_by(|x, y| y.1.cmp(&x.1).then(x.2.cmp(&y.2)));
+            b.sort_by(|x, y| y.2.cmp(&x.2).then(x.3.cmp(&y.3)));
         }
         Lookup { buckets }
     }
@@ -93,10 +126,16 @@ impl Lookup {
     /// Longest symbol matching a prefix of `input`, as `(code, length)`.
     #[inline]
     fn longest(&self, input: &[u8]) -> Option<(u8, usize)> {
-        // repolint: allow(panic) — callers pass a non-empty suffix; 256 buckets cover every u8 first byte
-        for &(bytes, len, code) in &self.buckets[input[0] as usize] {
-            // repolint: allow(panic) — len <= input.len() short-circuits first, and len <= 8 = bytes.len() by table construction
-            if len <= input.len() && bytes[..len] == input[..len] {
+        let &first = input.first()?;
+        // The input's next 8 bytes, zero past its end: a symbol no longer
+        // than the input compares only input bytes.
+        let word = match input.first_chunk::<8>() {
+            Some(head) => u64::from_le_bytes(*head),
+            None => input.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b)),
+        };
+        // repolint: allow(panic) — 256 buckets cover every u8 first byte
+        for &(sym, mask, len, code) in &self.buckets[first as usize] {
+            if len <= input.len() && word & mask == sym {
                 return Some((code, len));
             }
         }
@@ -109,7 +148,7 @@ fn train(input: &[u8]) -> Vec<([u8; 8], usize)> {
     let mut table: Vec<([u8; 8], usize)> = Vec::new();
     for _ in 0..GENERATIONS {
         let lookup = Lookup::new(&table);
-        let mut counts: HashMap<u128, u64> = HashMap::new();
+        let mut counts: HashMap<u128, u64, BuildHasherDefault<FoldHasher>> = HashMap::default();
         let mut prev: Option<&[u8]> = None;
         let mut i = 0;
         while i < input.len() {

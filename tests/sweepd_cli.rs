@@ -1,7 +1,7 @@
 //! Integration tests of the `sweepd` daemon and `sweep --remote` client
 //! through the real binaries: remote stdout must be byte-identical to a
 //! local run, status/shutdown must work, and daemon management commands
-//! must fail usably without a daemon.
+//! and refused sweeps must fail usably.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -285,6 +285,27 @@ fn sweep_threads_above_the_cap_fail_before_any_worker_starts() {
         )
     );
     assert!(stdout(&out).is_empty(), "a refused sweep prints no table");
+}
+
+#[test]
+fn a_sample_ratio_that_does_not_divide_the_sets_is_one_line() {
+    let dir = scratch("ratio");
+    let spec = dir.join("ratio3.json");
+    std::fs::write(
+        &spec,
+        r#"{"kind": "miss_curves", "name": "ratio3", "benchmark": "twolf",
+            "records": 1000, "sample_ratio": 3, "profilers": ["L", "BT"]}"#,
+    )
+    .unwrap();
+    let out = sweep_bin().arg(&spec).output().unwrap();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(
+        err,
+        "sweep: bad cache geometry: ATD sample ratio 3 does not divide the 1024 sets\n"
+    );
+    assert!(stdout(&out).is_empty(), "a refused sweep prints no table");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
